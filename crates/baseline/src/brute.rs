@@ -4,10 +4,12 @@
 //! Both baselines answer queries by scanning every point against every other
 //! point; the only difference is the execution policy they pass in. The
 //! kernels stream over the dataset's structure-of-arrays coordinate slices
-//! (cache-friendly, vectorisable) and are sqrt-free except for the single
-//! root that converts the best squared distance into the returned δ.
+//! (cache-friendly, vectorisable). The ρ kernel is sqrt-free; the δ kernel
+//! runs `dpc-core`'s canonical per-point scan, which roots only the
+//! candidates that could still tie the best distance.
 //! Callers validate `dc` and the `rho` slice before calling.
 
+use dpc_core::index::delta_point_scan;
 use dpc_core::{exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, Rho};
 
 /// ρ of every point by full scan: counts points strictly within `dc`,
@@ -39,45 +41,21 @@ pub(crate) fn rho_scan(dataset: &Dataset, dc: f64, policy: ExecPolicy) -> Vec<Rh
     rho
 }
 
-/// δ and µ of every point by full scan under the given density order.
+/// δ and µ of every point by full scan under the given density order, one
+/// [`delta_point_scan`] per point.
 pub(crate) fn delta_scan(
     dataset: &Dataset,
     order: &DensityOrder<'_>,
     policy: ExecPolicy,
 ) -> DeltaResult {
-    let n = dataset.len();
-    let (xs, ys) = dataset.coord_slices();
-    let mut result = DeltaResult::unset(n);
+    let mut result = DeltaResult::unset(dataset.len());
     exec::fill_slice_pair(
         &mut result.delta,
         &mut result.mu,
         policy,
         || (),
         |p, delta_slot, mu_slot, ()| {
-            let (xp, yp) = (xs[p], ys[p]);
-            let mut best_sq = f64::INFINITY;
-            let mut best_q = None;
-            let mut max_sq = 0.0f64;
-            for q in 0..n {
-                if q == p {
-                    continue;
-                }
-                let (dx, dy) = (xs[q] - xp, ys[q] - yp);
-                let d2 = dx * dx + dy * dy;
-                max_sq = max_sq.max(d2);
-                if d2 < best_sq && order.is_denser(q, p) {
-                    best_sq = d2;
-                    best_q = Some(q);
-                }
-            }
-            if best_q.is_some() {
-                *delta_slot = best_sq.sqrt();
-                *mu_slot = best_q;
-            } else {
-                // Global peak: δ = max distance to any other point. sqrt is
-                // monotone, so rooting the max squared distance is exact.
-                *delta_slot = max_sq.sqrt();
-            }
+            (*delta_slot, *mu_slot) = delta_point_scan(dataset, order, p);
         },
     );
     result

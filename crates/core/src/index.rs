@@ -14,11 +14,12 @@
 
 use std::time::Duration;
 
-use crate::delta::{DeltaResult, TieBreak};
+use crate::delta::{DeltaResult, DensityOrder, TieBreak};
 use crate::density::Rho;
 use crate::error::{DpcError, Result};
 use crate::exec::ExecPolicy;
 use crate::kernel::Kernel;
+use crate::metric::sq_prefilter_bound;
 use crate::point::{Dataset, Point, PointId};
 
 /// Construction-time statistics of an index, reported by every
@@ -67,7 +68,7 @@ impl IndexStats {
 /// [`crate::density`] and [`crate::delta`]:
 ///
 /// * `ρ(p)` counts *other* points strictly within `dc`;
-/// * "denser" is the total order of [`DensityOrder`](crate::DensityOrder)
+/// * "denser" is the total order of [`DensityOrder`]
 ///   with the index's [`tie_break`](DpcIndex::tie_break) rule;
 /// * the global peak gets `µ = None` and `δ` = max distance to any point.
 ///
@@ -450,6 +451,56 @@ pub fn eps_neighbors_scan(dataset: &Dataset, center: Point, eps: f64) -> Result<
         .collect())
 }
 
+/// Canonical brute-force δ and µ of one point under the given density
+/// order: the lexicographic `(distance, id)` minimum over all denser points
+/// — the correctly rounded distance first, the smaller id on equal
+/// distances — or the global-peak convention (max distance to any point,
+/// `µ = None`) when no denser point exists.
+///
+/// This is the shared kernel of the index-free δ scans (`LeanDpc`,
+/// `ParallelDpc`) and of the streaming engine's per-point δ repair. It
+/// compares squared distances only as a prefilter ([`sq_prefilter_bound`])
+/// and takes the root of every candidate that could tie, so µ is identical
+/// to the tree δ-query's and `NaiveReferenceIndex`'s even where two squared
+/// distances one ulp apart share a root.
+pub fn delta_point_scan(
+    dataset: &Dataset,
+    order: &DensityOrder<'_>,
+    p: PointId,
+) -> (f64, Option<PointId>) {
+    let (xs, ys) = dataset.coord_slices();
+    let (xp, yp) = (xs[p], ys[p]);
+    let mut best_d = f64::INFINITY;
+    let mut best_sq = f64::INFINITY;
+    let mut best_q = None;
+    let mut max_sq = 0.0f64;
+    for q in 0..dataset.len() {
+        if q == p {
+            continue;
+        }
+        let (dx, dy) = (xs[q] - xp, ys[q] - yp);
+        let d2 = dx * dx + dy * dy;
+        max_sq = max_sq.max(d2);
+        if d2 > best_sq || !order.is_denser(q, p) {
+            continue;
+        }
+        // Ascending scan: a tie on the rounded distance keeps the smaller
+        // id already held, so only a strict improvement replaces it.
+        let d = d2.sqrt();
+        if d < best_d || best_q.is_none() {
+            best_d = d;
+            best_sq = sq_prefilter_bound(d);
+            best_q = Some(q);
+        }
+    }
+    match best_q {
+        Some(q) => (best_d, Some(q)),
+        // Global peak: sqrt is monotone, so rooting the max squared distance
+        // is exact.
+        None => (max_sq.sqrt(), None),
+    }
+}
+
 /// Canonical kernel-weighted ρ scan: for every point `p`, the sum of
 /// `kernel` weights over the *other* points strictly within `dc`, accumulated
 /// in **ascending neighbour-id order** (the workspace-wide canonical
@@ -561,6 +612,26 @@ pub fn dataset_len(dataset: &Dataset) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn delta_point_scan_peak_sentinel_is_max_distance() {
+        let data = Dataset::from_coords(vec![(0.0, 0.0), (3.0, 4.0)]);
+        let rho = vec![1.0, 1.0];
+        let order = DensityOrder::new(&rho);
+        assert_eq!(delta_point_scan(&data, &order, 0), (5.0, None));
+        assert_eq!(delta_point_scan(&data, &order, 1), (5.0, Some(0)));
+    }
+
+    #[test]
+    fn delta_point_scan_breaks_square_root_ties_by_id() {
+        // From the origin (point 2), point 0 sits at squared distance
+        // 1 + 2⁻⁵² and point 1 at exactly 1; both roots round to 1.0, so
+        // the smaller id wins although its squared distance is larger.
+        let data = Dataset::from_coords(vec![(1.0, 2f64.powi(-26)), (1.0, 0.0), (0.0, 0.0)]);
+        let rho = vec![5.0, 5.0, 0.0];
+        let order = DensityOrder::new(&rho);
+        assert_eq!(delta_point_scan(&data, &order, 2), (1.0, Some(0)));
+    }
 
     #[test]
     fn validate_dc_accepts_positive_finite() {

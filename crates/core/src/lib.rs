@@ -84,7 +84,7 @@ pub use error::{DpcError, Result};
 pub use exec::ExecPolicy;
 pub use index::{BatchOp, DpcIndex, IndexStats, UpdatableIndex};
 pub use kernel::Kernel;
-pub use metric::{Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};
+pub use metric::{sq_prefilter_bound, Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};
 pub use params::DpcParams;
 pub use pipeline::{cluster_with_index, DpcPipeline, DpcRun};
 pub use point::{Dataset, Point, PointId};

@@ -20,9 +20,14 @@
 //!   therefore compare [`Point::distance_squared`] (and
 //!   [`BoundingBox::min_dist_squared`](crate::BoundingBox::min_dist_squared) /
 //!   [`BoundingBox::max_dist_squared`](crate::BoundingBox::max_dist_squared))
-//!   against a precomputed `dc²` and never take a root. The same holds for
-//!   any *pure comparison* of two distances from the same query point, e.g.
-//!   a nearest-neighbour argmin.
+//!   against a precomputed `dc²` and never take a root.
+//! * **Not enough on its own: a `(distance, id)` argmin.** The δ/µ rule
+//!   minimises the *rounded* distance and breaks ties towards the smaller
+//!   id. Two squared distances one ulp apart can share a square root, so an
+//!   argmin over squared distances may pick the larger id where the rounded
+//!   distances tie. Such loops compare squared distances only as a
+//!   **prefilter** — skip `d²` above [`sq_prefilter_bound`] of the best
+//!   distance so far, and take the root of the survivors to decide.
 //! * **Unsafe: δ pruning and anything built on the triangle inequality.**
 //!   Lemma 2 of the paper prunes a node `N` because
 //!   `dmin(p, N) ≤ dist(p, q)` for every `q ∈ N` — a geometric lower bound
@@ -85,6 +90,21 @@ impl Metric for SquaredEuclidean {
     fn name(&self) -> &'static str {
         "squared-euclidean"
     }
+}
+
+/// A squared-distance bound for prefiltering a `(distance, id)` argmin: every
+/// `d2` above `sq_prefilter_bound(best)` has `d2.sqrt() > best`, so such a
+/// candidate can be skipped without taking its root.
+///
+/// `best * best` is off by at most half an ulp, and a root rounds down to
+/// `best` from up to `best · ulp(best)` above `best²`; together that is under
+/// three ulps of `best²`. The factor `1 + 2⁻⁴⁸` pads by at least fifteen.
+/// Where `best²` is subnormal the padding vanishes, but then the rounding
+/// slack is far below one subnormal step, so `fl(best²)` alone is safe. An
+/// overflowing `best²` gives `+∞` and skips nothing.
+#[inline]
+pub fn sq_prefilter_bound(best: f64) -> f64 {
+    best * best * (1.0 + 16.0 * f64::EPSILON)
 }
 
 /// Manhattan (L1) distance.
@@ -152,6 +172,38 @@ mod tests {
             assert_eq!(m.distance(&A, &B), m.distance(&B, &A), "{}", m.name());
             assert_eq!(m.distance(&A, &A), 0.0, "{}", m.name());
         }
+    }
+
+    #[test]
+    fn sq_prefilter_bound_never_rejects_a_root_that_ties_or_beats_best() {
+        // Walk up from best² one ulp at a time: every d2 whose root still
+        // rounds to at most `best` must sit at or below the bound.
+        for best in [
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            std::f64::consts::SQRT_2,
+            0.1,
+            3.7e-160,
+            1e-200,
+            f64::MIN_POSITIVE,
+            1e150,
+            1.340_780_792_994_259_6e154, // √f64::MAX: the padded bound overflows
+        ] {
+            let bound = sq_prefilter_bound(best);
+            let mut d2 = best * best;
+            for _ in 0..64 {
+                if !d2.is_finite() {
+                    break;
+                }
+                if d2.sqrt() <= best {
+                    assert!(d2 <= bound, "best = {best:e}, d2 = {d2:e}");
+                }
+                d2 = f64::from_bits(d2.to_bits() + 1);
+            }
+        }
+        assert_eq!(sq_prefilter_bound(f64::INFINITY), f64::INFINITY);
+        assert_eq!(sq_prefilter_bound(1e200), f64::INFINITY);
     }
 
     #[test]

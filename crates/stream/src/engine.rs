@@ -36,7 +36,8 @@
 //!    recomputed from scratch; everyone else min-folds the candidate
 //!    entrants (`U` ∪ inserted ∪ renamed). When `|F|` exceeds
 //!    [`StreamParams::max_affected_fraction`] of the window the engine falls
-//!    back to one full δ/µ recomputation for the epoch.
+//!    back to one full δ/µ recomputation for the epoch: the index's own
+//!    δ-query, the one the cold batch pipeline runs.
 //! 5. **Re-cluster once** (centre selection + assignment on the maintained
 //!    `(ρ, δ, µ)`) and emit one [`ClusterDelta`] for the whole batch.
 //!
@@ -61,6 +62,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use dpc_core::index::delta_point_scan;
 use dpc_core::{
     assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
     DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
@@ -69,7 +71,7 @@ use dpc_obs::{span, AttrValue, SharedRecorder};
 
 use crate::epoch::{EpochPlan, PlanOp};
 use crate::handle::{Handle, HandleMap};
-use crate::maintenance::{candidate_pass, delta_point, recompute_all, recompute_targets};
+use crate::maintenance::{candidate_pass, recompute_targets};
 use crate::policy::{CommitPolicy, CostModel, EpochMode, Prediction};
 use crate::report::{ClusterDelta, LabelChange};
 use crate::snapshot::{EpochSnapshot, SnapshotSink};
@@ -470,19 +472,25 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         }
         let n = index.len();
         // One-shot calibration: the seeding batch query is exactly what a
-        // rebuild epoch pays per window point, and a handful of brute-force
-        // δ probes (the incremental repair kernel) measure the incremental
-        // path's per-point cost. Both are timed here regardless of policy —
-        // the probes cost O(CALIBRATION_PROBES · n), less than the seeding
-        // query itself — so [`set_policy`](Self::set_policy) can flip to
-        // `Adaptive` mid-stream and find a live model.
+        // rebuild epoch pays per window point, its δ half is what a fallback
+        // epoch pays, and a handful of brute-force δ probes (the incremental
+        // repair kernel) measure the incremental path's per-point cost. All
+        // are timed here regardless of policy — the probes cost
+        // O(CALIBRATION_PROBES · n), less than the seeding query itself — so
+        // [`set_policy`](Self::set_policy) can flip to `Adaptive` mid-stream
+        // and find a live model.
         let seeding = Instant::now();
-        let (rho, deltas) = if n == 0 {
-            (Vec::new(), DeltaResult::unset(0))
+        let (rho, deltas, delta_started) = if n == 0 {
+            (Vec::new(), DeltaResult::unset(0), seeding)
         } else {
-            index.rho_delta_kernel_with_policy(params.dpc.dc, params.dpc.kernel, params.dpc.exec)?
+            let (dc, exec) = (params.dpc.dc, params.dpc.exec);
+            let rho = index.rho_kernel_with_policy(dc, params.dpc.kernel, exec)?;
+            let delta_started = Instant::now();
+            let deltas = index.delta_with_policy(dc, &rho, exec)?;
+            (rho, deltas, delta_started)
         };
-        let rebuild_us = seeding.elapsed().as_micros() as f64 / n.max(1) as f64;
+        let per_point = |t: Instant| t.elapsed().as_micros() as f64 / n.max(1) as f64;
+        let (rebuild_us, fallback_us) = (per_point(seeding), per_point(delta_started));
         let order = DensityOrder::with_tie_break(&rho, params.dpc.tie_break);
         let peak = order.global_peak();
         let inc_us = if n == 0 {
@@ -494,7 +502,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             let stride = n / probes;
             let probing = Instant::now();
             for k in 0..probes {
-                std::hint::black_box(delta_point(index.dataset(), &order, k * stride));
+                std::hint::black_box(delta_point_scan(index.dataset(), &order, k * stride));
             }
             probing.elapsed().as_micros() as f64 / probes as f64
         };
@@ -502,7 +510,13 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // (Under a non-cutoff kernel the weighted mean *under*-estimates the
         // neighbour count, which only makes the prior conservative.)
         let union_prior = rho.iter().sum::<f64>() / n.max(1) as f64 + 1.0;
-        let model = CostModel::seeded(rebuild_us, inc_us, union_prior, params.ewma_alpha);
+        let model = CostModel::seeded(
+            rebuild_us,
+            inc_us,
+            fallback_us,
+            union_prior,
+            params.ewma_alpha,
+        );
         let mut engine = StreamingDpc {
             index,
             params,
@@ -818,14 +832,13 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             for r in &mut self.rho {
                 *r *= lambda;
             }
-            let order = DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break);
-            recompute_all(
-                self.index.dataset(),
-                &order,
-                &mut self.deltas,
+            self.deltas = self.index.delta_with_policy(
+                self.params.dpc.dc,
+                &self.rho,
                 self.params.dpc.exec,
-            );
-            self.peak = order.global_peak();
+            )?;
+            self.peak =
+                DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break).global_peak();
         }
         let micros = started.elapsed().as_micros() as u64;
         self.stats.decay_epochs += 1;
@@ -1255,17 +1268,20 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         scratch.invalidated.sort_unstable();
         scratch.invalidated.dedup();
 
-        let order = DensityOrder::with_tie_break(&self.rho, tie);
-        let dataset = self.index.dataset();
         // A decayed epoch rescaled *every* density in the pre-pass: λ-scaling
         // is order-preserving in exact arithmetic, but two neighbouring f64
         // densities can collapse onto the same float and hand the comparison
         // to the id tie-break — so no point's (δ, µ) minimum is trustworthy
-        // and the epoch always re-ranks in full.
+        // and the epoch always re-ranks in full. The full re-rank is the
+        // index's own δ-query, the one the cold batch pipeline runs.
         let mode = if lambda != 1.0 || self.needs_fallback(scratch.invalidated.len(), n) {
-            recompute_all(dataset, &order, &mut self.deltas, self.params.dpc.exec);
+            self.deltas = self
+                .index
+                .delta_with_policy(dc, &self.rho, self.params.dpc.exec)?;
             EpochMode::Fallback
         } else {
+            let order = DensityOrder::with_tie_break(&self.rho, tie);
+            let dataset = self.index.dataset();
             scratch.skip.clear();
             scratch.skip.resize(n, false);
             for &f in &scratch.invalidated {

@@ -7,57 +7,31 @@
 //! * a **full recomputation** of the bounded *invalidation set* `F` — points
 //!   whose set of denser neighbours may have *shrunk* (their own ρ changed,
 //!   their µ was removed or demoted, the global peak) — each recomputed from
-//!   scratch by [`delta_point`];
+//!   scratch by the canonical brute-force scan [`delta_point_scan`];
 //! * a **candidate min-update pass** over everything else: for points
 //!   outside `F` the denser set can only have *gained* members (the inserted
 //!   point, neighbours whose ρ rose, a point renamed to a smaller id), so
 //!   the existing `(δ, µ)` stays a valid minimum and only the handful of
 //!   candidate entrants need to be folded in ([`candidate_pass`]).
 //!
+//! When `F` is too large the engine skips both and runs the index's own
+//! δ-query over the whole window instead
+//! ([`DpcIndex::delta_with_policy`](dpc_core::DpcIndex::delta_with_policy)).
+//!
 //! ## Tie-breaking
 //!
-//! Everything here resolves equidistant candidates towards the smaller id,
-//! the workspace-wide convention (`delta_one` in `dpc-tree-index`, the
-//! brute-force kernels in `dpc-baseline`, `NaiveReferenceIndex`). The full
-//! recomputation minimises over *squared* distances and takes one square
-//! root at the end — exactly like the baseline kernels; IEEE-754 `sqrt` is
-//! correctly rounded and monotone, so the value is bit-identical to
-//! minimising/maximising true distances.
+//! Everything here minimises the lexicographic pair `(δ, id)`: the
+//! correctly rounded *true* distance first, the smaller id on equal
+//! distances — the workspace-wide convention (`delta_one` in
+//! `dpc-tree-index`, the brute-force kernels in `dpc-baseline`,
+//! `NaiveReferenceIndex`). Minimising *squared* distances instead is not
+//! equivalent: two squared distances one ulp apart can share a square root,
+//! and the id must then decide. Squared distances serve only as a prefilter
+//! ([`sq_prefilter_bound`]) that skips the root of candidates that cannot
+//! tie.
 
-use dpc_core::{exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
-
-/// δ and µ of a single point by exhaustive scan under the given density
-/// order: the lexicographic `(distance, id)` minimum over all denser points,
-/// or the global-peak convention (max distance to any point, `µ = None`)
-/// when no denser point exists.
-pub fn delta_point(
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    p: PointId,
-) -> (f64, Option<PointId>) {
-    let (xs, ys) = dataset.coord_slices();
-    let (xp, yp) = (xs[p], ys[p]);
-    let n = dataset.len();
-    let mut best_sq = f64::INFINITY;
-    let mut best_q = None;
-    let mut max_sq = 0.0f64;
-    for q in 0..n {
-        if q == p {
-            continue;
-        }
-        let (dx, dy) = (xs[q] - xp, ys[q] - yp);
-        let d2 = dx * dx + dy * dy;
-        max_sq = max_sq.max(d2);
-        if d2 < best_sq && order.is_denser(q, p) {
-            best_sq = d2;
-            best_q = Some(q);
-        }
-    }
-    match best_q {
-        Some(q) => (best_sq.sqrt(), Some(q)),
-        None => (max_sq.sqrt(), None),
-    }
-}
+use dpc_core::index::delta_point_scan;
+use dpc_core::{exec, sq_prefilter_bound, Dataset, DeltaResult, DensityOrder, ExecPolicy, PointId};
 
 /// Recomputes δ/µ from scratch for every point in `targets`, in parallel,
 /// and scatters the results into `deltas`.
@@ -73,34 +47,12 @@ pub fn recompute_targets(
         &mut out,
         policy,
         || (),
-        |k, ()| delta_point(dataset, order, targets[k]),
+        |k, ()| delta_point_scan(dataset, order, targets[k]),
     );
     for (k, &p) in targets.iter().enumerate() {
         deltas.delta[p] = out[k].0;
         deltas.mu[p] = out[k].1;
     }
-}
-
-/// Recomputes δ/µ from scratch for *every* point, in parallel — the
-/// documented fallback when the invalidation set exceeds the configured
-/// fraction of the window and incremental repair would not pay off.
-pub fn recompute_all(
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    deltas: &mut DeltaResult,
-    policy: ExecPolicy,
-) {
-    exec::fill_slice_pair(
-        &mut deltas.delta,
-        &mut deltas.mu,
-        policy,
-        || (),
-        |p, delta_slot, mu_slot, ()| {
-            let (d, mu) = delta_point(dataset, order, p);
-            *delta_slot = d;
-            *mu_slot = mu;
-        },
-    );
 }
 
 /// Folds a small set of *candidate entrants* into the δ/µ of every point
@@ -115,15 +67,16 @@ pub fn recompute_all(
 /// tie rule: strictly smaller distance wins, equal distance goes to the
 /// smaller id.
 ///
-/// The comparison happens in **squared**-distance space, like
-/// [`delta_point`] and the batch kernels: two squared distances one ulp
-/// apart can round to the same square root, and comparing the rounded values
-/// would let an id tie-break fire where the batch run sees a strict
-/// inequality. The incumbent's squared distance is recomputed from the
-/// coordinates of `µ(p)` (exact — it is the value `delta_point` minimised
-/// before taking the root). A point whose `µ` is `None` (the global peak,
-/// carrying the max-distance sentinel rather than a minimum) must be masked
-/// out via `skip`; the engine always recomputes peaks from scratch.
+/// The comparison is on the correctly rounded **true** distances, like
+/// [`delta_point_scan`] and the batch kernels: two squared distances one ulp
+/// apart can round to the same square root, and the batch run then lets the
+/// smaller id win where a squared comparison would see a strict inequality.
+/// The incumbent is the stored `δ(p)`, which is exactly the rounded distance
+/// to `µ(p)`; candidates whose squared distance lies above
+/// [`sq_prefilter_bound`] of it are skipped without a root. A point whose
+/// `µ` is `None` (the global peak, carrying the max-distance sentinel rather
+/// than a minimum) must be masked out via `skip`; the engine always
+/// recomputes peaks from scratch.
 pub fn candidate_pass(
     dataset: &Dataset,
     order: &DensityOrder<'_>,
@@ -145,23 +98,26 @@ pub fn candidate_pass(
             if skip[p] {
                 return;
             }
+            let mut bound = sq_prefilter_bound(*delta_slot);
             for &c in candidates {
                 if !order.is_denser(c, p) {
                     continue;
                 }
                 let d2 = pts[c].distance_squared(&pts[p]);
+                if d2 > bound {
+                    continue;
+                }
+                let d = d2.sqrt();
                 let wins = match *mu_slot {
-                    Some(b) => {
-                        let incumbent_sq = pts[b].distance_squared(&pts[p]);
-                        d2 < incumbent_sq || (d2 == incumbent_sq && c < b)
-                    }
+                    Some(b) => d < *delta_slot || (d == *delta_slot && c < b),
                     // Unset (δ = ∞): any denser candidate wins. Peaks carry
                     // a sentinel δ instead and must be masked (see above).
                     None => true,
                 };
                 if wins {
-                    *delta_slot = d2.sqrt();
+                    *delta_slot = d;
                     *mu_slot = Some(c);
+                    bound = sq_prefilter_bound(d);
                 }
             }
         },
@@ -186,27 +142,47 @@ mod tests {
     }
 
     #[test]
-    fn delta_point_matches_reference_for_every_point() {
+    fn recompute_targets_matches_reference_at_several_thread_counts() {
         let data = dataset();
         let (rho, expected) = NaiveReferenceIndex::build(&data).rho_delta(0.3).unwrap();
         let order = DensityOrder::new(&rho);
-        for p in 0..data.len() {
-            let (d, mu) = delta_point(&data, &order, p);
-            assert_eq!(d, expected.delta[p], "delta of {p}");
-            assert_eq!(mu, expected.mu[p], "mu of {p}");
+        let all: Vec<PointId> = (0..data.len()).collect();
+        for threads in [1usize, 3, 8] {
+            let mut deltas = DeltaResult::unset(data.len());
+            recompute_targets(
+                &data,
+                &order,
+                &all,
+                &mut deltas,
+                ExecPolicy::Threads(threads),
+            );
+            assert_eq!(deltas, expected, "threads = {threads}");
         }
     }
 
     #[test]
-    fn recompute_all_matches_reference_at_several_thread_counts() {
-        let data = dataset();
-        let (rho, expected) = NaiveReferenceIndex::build(&data).rho_delta(0.3).unwrap();
+    fn candidate_pass_breaks_square_root_ties_by_id() {
+        // Seen from the origin (point 2), point 0 lies at squared distance
+        // 1 + 2⁻⁵² and point 1 at exactly 1: one ulp apart, yet both roots
+        // round to 1.0, so the smaller id (0) is the dependent neighbour.
+        let data = Dataset::from_coords(vec![(1.0, 2f64.powi(-26)), (1.0, 0.0), (0.0, 0.0)]);
+        let rho = vec![5.0, 5.0, 0.0];
         let order = DensityOrder::new(&rho);
-        for threads in [1usize, 3, 8] {
-            let mut deltas = DeltaResult::unset(data.len());
-            recompute_all(&data, &order, &mut deltas, ExecPolicy::Threads(threads));
-            assert_eq!(deltas, expected, "threads = {threads}");
-        }
+        let expected = NaiveReferenceIndex::build(&data).delta(0.5, &rho).unwrap();
+        assert_eq!(expected.mu[2], Some(0));
+        // Point 1 already holds the minimum; folding point 0 must take over.
+        let mut deltas = expected.clone();
+        deltas.delta[2] = 1.0;
+        deltas.mu[2] = Some(1);
+        candidate_pass(
+            &data,
+            &order,
+            &[0],
+            &[true, true, false],
+            &mut deltas,
+            ExecPolicy::Sequential,
+        );
+        assert_eq!(deltas, expected);
     }
 
     #[test]
@@ -273,18 +249,5 @@ mod tests {
         );
         assert_eq!(deltas.mu[1], Some(0));
         assert_eq!(deltas.delta[1], 1.0);
-    }
-
-    #[test]
-    fn delta_point_peak_sentinel_is_max_distance() {
-        let data = Dataset::from_coords(vec![(0.0, 0.0), (3.0, 4.0)]);
-        let rho = vec![1.0, 1.0];
-        let order = DensityOrder::new(&rho);
-        let (d, mu) = delta_point(&data, &order, 0);
-        assert_eq!(mu, None);
-        assert_eq!(d, 5.0);
-        let (d1, mu1) = delta_point(&data, &order, 1);
-        assert_eq!(mu1, Some(0));
-        assert_eq!(d1, 5.0);
     }
 }

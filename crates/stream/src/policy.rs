@@ -1,12 +1,12 @@
 //! The per-epoch commit policy of the streaming engine: [`CommitPolicy`]
 //! and the calibrated [`CostModel`] behind its adaptive variant.
 //!
-//! `BENCH_stream.json` records an honest performance cliff: at batch size 1
-//! incremental maintenance beats rebuilding the index per epoch by 3–9×, but
-//! at batch 64 every epoch trips the `max_affected_fraction` fallback — a
-//! brute-force full δ/µ recomputation — and a fresh bulk rebuild plus the
-//! index's *pruned* batch queries wins by the same margin. Neither fixed
-//! choice is right at every batch size, so the engine chooses **per epoch**:
+//! At batch size 1 incremental maintenance beats rebuilding the index per
+//! epoch by several times, but at batch 64 every epoch trips the
+//! `max_affected_fraction` fallback — a full δ/µ recomputation through the
+//! index's pruned δ-query — and the choice against a fresh bulk rebuild plus
+//! both batch queries depends on the index and the window. Neither fixed
+//! choice is right everywhere, so the engine chooses **per epoch**:
 //!
 //! * [`CommitPolicy::AlwaysIncremental`] — the affected-set repair pipeline
 //!   (with its documented fallback), the pre-policy behaviour and still the
@@ -17,13 +17,14 @@
 //! * [`CommitPolicy::Adaptive`] — predict both costs with a [`CostModel`]
 //!   **before mutating anything** and take the cheaper path.
 //!
-//! The model keeps three per-engine EWMA estimates: the incremental cost per
-//! invalidated point, the rebuild cost per window point, and the measured
-//! invalidation-set size per plan operation. All three are seeded by a
-//! one-shot calibration inside `StreamingDpc::new` — the seeding batch query
-//! is timed for the rebuild rate, a handful of brute-force δ probes for the
-//! incremental rate, and the mean ρ for the union prior — and then updated
-//! online from observed epoch timings, so the model tracks the actual window
+//! The model keeps four per-engine EWMA estimates: the incremental cost per
+//! invalidated point, the fallback and rebuild costs per window point, and
+//! the measured invalidation-set size per plan operation. All four are
+//! seeded by a one-shot calibration inside `StreamingDpc::new` — the seeding
+//! batch query is timed for the rebuild rate and its δ half for the fallback
+//! rate, a handful of brute-force δ probes for the incremental rate, and the
+//! mean ρ for the union prior — and then updated online from observed epoch
+//! timings, so the model tracks the actual window
 //! size, point distribution and machine. Whichever path is taken, the
 //! committed state is **bit-identical** (both paths are anchored to the cold
 //! batch oracle), so a misprediction costs time, never correctness.
@@ -141,10 +142,13 @@ const MIN_RATE_US: f64 = 1e-3;
 /// the [module docs](self) for how the estimates are obtained and used.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// µs of incremental δ/µ repair per invalidated point. The fallback
-    /// shares the same brute-force kernel, so it updates this rate too
-    /// (with the whole window as the target set).
+    /// µs of incremental δ/µ repair per invalidated point (the brute-force
+    /// per-point scan).
     inc_us_per_point: f64,
+    /// µs of a fallback epoch per window point. The fallback runs the
+    /// index's pruned δ-query, far cheaper per point than the brute-force
+    /// repair, so it keeps a rate of its own.
+    fallback_us_per_point: f64,
     /// µs of bulk rebuild + batch ρ/δ queries per window point.
     rebuild_us_per_point: f64,
     /// Measured invalidation-set size per plan operation.
@@ -156,17 +160,20 @@ pub struct CostModel {
 impl CostModel {
     /// Seeds the model from the one-shot calibration of
     /// `StreamingDpc::new`: the timed seeding batch query (`rebuild_us` per
-    /// point), timed brute-force δ probes (`inc_us` per point) and the mean
-    /// ρ plus one as the union prior (an update invalidates its
+    /// point), timed brute-force δ probes (`inc_us` per point), the timed δ
+    /// half of the seeding query (`fallback_us` per point) and the mean ρ
+    /// plus one as the union prior (an update invalidates its
     /// ε-neighbourhood plus itself).
     pub fn seeded(
         rebuild_us_per_point: f64,
         inc_us_per_point: f64,
+        fallback_us_per_point: f64,
         union_per_update: f64,
         alpha: f64,
     ) -> Self {
         CostModel {
             inc_us_per_point: inc_us_per_point.max(MIN_RATE_US),
+            fallback_us_per_point: fallback_us_per_point.max(MIN_RATE_US),
             rebuild_us_per_point: rebuild_us_per_point.max(MIN_RATE_US),
             union_per_update: union_per_update.max(1.0),
             alpha,
@@ -176,6 +183,11 @@ impl CostModel {
     /// Current µs-per-invalidated-point estimate of the incremental path.
     pub fn inc_us_per_point(&self) -> f64 {
         self.inc_us_per_point
+    }
+
+    /// Current µs-per-window-point estimate of a fallback epoch.
+    pub fn fallback_us_per_point(&self) -> f64 {
+        self.fallback_us_per_point
     }
 
     /// Current µs-per-window-point estimate of the rebuild path.
@@ -201,13 +213,14 @@ impl CostModel {
     }
 
     /// Folds in an observed fallback epoch: the whole window (`n` points)
-    /// was recomputed with the incremental kernels after `updates` plan ops
-    /// produced an invalidation set of `invalidated`.
+    /// was recomputed by the index's δ-query after `updates` plan ops
+    /// produced an invalidation set of `invalidated`. Only the fallback rate
+    /// and the union estimate learn from it.
     pub fn observe_fallback(&mut self, n: usize, invalidated: usize, updates: usize, micros: f64) {
         let per_point = micros / n.max(1) as f64;
-        self.inc_us_per_point = ewma(
+        self.fallback_us_per_point = ewma(
             self.alpha,
-            self.inc_us_per_point,
+            self.fallback_us_per_point,
             per_point.max(MIN_RATE_US),
         );
         self.observe_union(invalidated, updates);
@@ -238,8 +251,8 @@ impl CostModel {
     ///
     /// The predicted invalidation set is `union_per_update · updates`
     /// clamped to the window; when it exceeds `max_affected_fraction · n`
-    /// the incremental path is predicted at its fallback cost (the whole
-    /// window through the brute-force kernel). The rebuild prediction is
+    /// the incremental path is predicted at its fallback cost
+    /// (`n · fallback_us_per_point`). The rebuild prediction is
     /// multiplied by `rebuild_bias`, so callers can make the switch sticky
     /// in either direction.
     pub fn predict(
@@ -251,12 +264,11 @@ impl CostModel {
     ) -> Prediction {
         let n_f = n as f64;
         let invalidated = (self.union_per_update * updates as f64).min(n_f);
-        let incremental_targets = if invalidated > max_affected_fraction * n_f {
-            n_f
+        let incremental_us = if invalidated > max_affected_fraction * n_f {
+            n_f * self.fallback_us_per_point
         } else {
-            invalidated
+            invalidated * self.inc_us_per_point
         };
-        let incremental_us = incremental_targets * self.inc_us_per_point;
         let rebuild_us = n_f * self.rebuild_us_per_point * rebuild_bias;
         Prediction {
             invalidated,
@@ -301,10 +313,11 @@ mod tests {
 
     #[test]
     fn small_epochs_predict_incremental_large_epochs_predict_rebuild() {
-        // Brute incremental repair is 10× the per-point rebuild rate, and an
-        // update invalidates ~8 points: one update is far cheaper to repair,
-        // a 64-op epoch trips the fallback and the rebuild must win.
-        let model = CostModel::seeded(1.0, 10.0, 8.0, 0.3);
+        // Brute incremental repair and the fallback are 10× the per-point
+        // rebuild rate, and an update invalidates ~8 points: one update is
+        // far cheaper to repair, a 64-op epoch trips the fallback and the
+        // rebuild must win.
+        let model = CostModel::seeded(1.0, 10.0, 10.0, 8.0, 0.3);
         let small = model.predict(1, 1000, 0.25, 1.0);
         assert!(!small.rebuild_wins, "{small:?}");
         assert!(small.incremental_us < small.rebuild_us);
@@ -316,7 +329,7 @@ mod tests {
 
     #[test]
     fn rebuild_bias_shifts_the_crossover() {
-        let model = CostModel::seeded(1.0, 10.0, 8.0, 0.3);
+        let model = CostModel::seeded(1.0, 10.0, 10.0, 8.0, 0.3);
         // Past the fallback threshold both predictions are ~n·rate; a large
         // enough bias keeps the incremental path predicted cheaper anyway.
         assert!(model.predict(128, 1000, 0.25, 1.0).rebuild_wins);
@@ -325,27 +338,33 @@ mod tests {
 
     #[test]
     fn observations_move_the_estimates_toward_the_samples() {
-        let mut model = CostModel::seeded(1.0, 1.0, 4.0, 0.5);
+        let mut model = CostModel::seeded(1.0, 1.0, 1.0, 4.0, 0.5);
         // Observed incremental epochs are much more expensive per point.
         model.observe_incremental(10, 2, 200.0); // 20 µs/point
         assert!(model.inc_us_per_point() > 1.0);
         assert!(model.inc_us_per_point() < 20.0); // EWMA, not replacement
         model.observe_rebuild(100, 50.0); // 0.5 µs/point
         assert!(model.rebuild_us_per_point() < 1.0);
-        // The union estimate follows the measured |F| per update.
+        // The union estimate follows the measured |F| per update; a
+        // fallback epoch teaches the fallback rate, not the repair rate.
         let before = model.union_per_update();
+        let inc_before = model.inc_us_per_point();
         model.observe_fallback(100, 80, 2, 1000.0); // 40 invalidated/update
         assert!(model.union_per_update() > before);
+        assert!(model.fallback_us_per_point() > 1.0); // 10 µs/point sampled
+        assert_eq!(model.inc_us_per_point(), inc_before);
     }
 
     #[test]
     fn zero_samples_never_poison_the_rates() {
-        let mut model = CostModel::seeded(0.0, 0.0, 0.0, 1.0);
+        let mut model = CostModel::seeded(0.0, 0.0, 0.0, 0.0, 1.0);
         model.observe_incremental(0, 0, 0.0);
+        model.observe_fallback(0, 0, 0, 0.0);
         model.observe_rebuild(0, 0.0);
         let p = model.predict(1, 100, 0.25, 1.0);
         assert!(p.incremental_us > 0.0);
         assert!(p.rebuild_us > 0.0);
+        assert!(model.predict(100, 100, 0.25, 1.0).incremental_us > 0.0);
         // An empty window never predicts a rebuild win.
         assert!(!model.predict(1, 0, 0.25, 1.0).rebuild_wins);
     }

@@ -850,6 +850,56 @@ fn larger_id_denser_tie_break_matches_batch() {
     }
 }
 
+/// Regression: two denser neighbours whose squared distances from a point
+/// differ by one ulp but whose correctly rounded roots are equal. The batch
+/// δ-queries take the smaller id on the rounded tie; the streamed δ must do
+/// the same, whether the point is recomputed from scratch (an insert), folds
+/// the pair in as candidate entrants (a rank rise), or the epoch takes the
+/// full-recompute fallback.
+#[test]
+fn square_root_ties_match_batch() {
+    let dc = 0.5;
+    let dpc = DpcParams::new(dc).with_centers(CenterSelection::TopKGamma { k: 1 });
+    // From the origin, 1 + 2⁻⁵² and 1 share the root 1.0.
+    let tiny = 2f64.powi(-26);
+    for fraction in [0.0, 1.0] {
+        for_each_updatable_index!(|name, build| {
+            let label = format!("{name}, max_affected_fraction {fraction}");
+            let params = StreamParams::new(dc)
+                .with_dpc(dpc.clone())
+                .with_max_affected_fraction(fraction);
+
+            // The inserted point's δ is computed from scratch.
+            let seed = Dataset::from_coords(vec![(1.0, tiny), (1.0, 0.0)]);
+            let mut engine = StreamingDpc::new(build(&seed), params.clone()).unwrap();
+            engine.insert(Point::new(0.0, 0.0)).unwrap();
+            assert_eq!(
+                engine.deltas().mu,
+                vec![None, Some(0), Some(0)],
+                "[{label}]"
+            );
+            assert_cold_batch(&label, &build, &engine, &dpc);
+
+            // Points 1 and 2 turn denser than point 0 when each gains a
+            // neighbour; point 0 itself is untouched and folds them in.
+            let seed = Dataset::from_coords(vec![
+                (0.0, 0.0),
+                (tiny, 1.0),
+                (1.0, 0.0),
+                (10.0, 10.0),
+                (10.0, 10.1),
+            ]);
+            let mut engine = StreamingDpc::new(build(&seed), params).unwrap();
+            assert_eq!(engine.deltas().mu[0], Some(3), "[{label}]");
+            engine
+                .advance(&[Point::new(0.0, 1.3), Point::new(1.3, 0.0)], 0)
+                .unwrap();
+            assert_eq!(engine.deltas().mu[0], Some(1), "[{label}]");
+            assert_cold_batch(&label, &build, &engine, &dpc);
+        });
+    }
+}
+
 /// The trees' amortised triggers are *deferred* inside a batched epoch: the
 /// R-tree's forced-reinsertion round is shared by the whole batch (at most
 /// one per epoch — later overflows split), and the k-d tree settles its

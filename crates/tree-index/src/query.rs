@@ -34,7 +34,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dpc_core::{
-    exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, Kernel, Point, PointId, Rho, TieBreak,
+    exec, sq_prefilter_bound, Dataset, DeltaResult, DensityOrder, ExecPolicy, Kernel, Point,
+    PointId, Rho, TieBreak,
 };
 
 use crate::common::{NodeId, SpatialPartition};
@@ -553,9 +554,12 @@ impl Ord for OrdF64 {
 
 /// δ and µ of a single point — the best-first search of Algorithm 6.
 ///
-/// All node and point comparisons here use *true* Euclidean distances: the
-/// candidate δ is consumed by triangle-inequality-based reasoning downstream,
-/// which squared distances cannot serve (see [`dpc_core::metric`]).
+/// All node comparisons and the final point comparison use *true* Euclidean
+/// distances: the candidate δ is consumed by triangle-inequality-based
+/// reasoning downstream, which squared distances cannot serve (see
+/// [`dpc_core::metric`]). The leaf scan only *prefilters* on squared
+/// distances ([`sq_prefilter_bound`]), so a point whose root could still tie
+/// the candidate always reaches the `(distance, id)` comparison.
 pub fn delta_one<T: SpatialPartition + ?Sized>(
     tree: &T,
     dataset: &Dataset,
@@ -575,6 +579,10 @@ pub fn delta_one<T: SpatialPartition + ?Sized>(
 
     let mut best_d = f64::INFINITY;
     let mut best_q: Option<PointId> = None;
+    // Squared-distance prefilter for the leaf scan: a point with
+    // `d2 > best_sq` has a root above `best_d`, so it can neither beat nor
+    // tie the candidate and is skipped before the density test and the root.
+    let mut best_sq = f64::INFINITY;
 
     // Min-heap on dmin: the node most likely to contain the dependent
     // neighbour is explored first, so the candidate δ shrinks quickly and
@@ -597,16 +605,18 @@ pub fn delta_one<T: SpatialPartition + ?Sized>(
             for &q in tree.points(node) {
                 let q = q as PointId;
                 stats.points_scanned += 1;
-                if q == p || !order.is_denser(q, p) {
+                let d2 = pts[q].distance_squared(&query);
+                if d2 > best_sq || q == p || !order.is_denser(q, p) {
                     continue;
                 }
-                let d = pts[q].distance(&query);
+                let d = d2.sqrt();
                 // Lexicographic (distance, id) comparison keeps µ identical
                 // to the list-based indices and the baseline when several
                 // denser neighbours are equidistant.
                 if d < best_d || (d == best_d && best_q.is_none_or(|b| q < b)) {
                     best_d = d;
                     best_q = Some(q);
+                    best_sq = sq_prefilter_bound(d);
                 }
             }
         } else {
@@ -727,6 +737,143 @@ mod tests {
             stats_pruned.points_scanned,
             stats_full.points_scanned
         );
+    }
+
+    /// Every tree index over `coords`, each with tiny leaves so that even a
+    /// handful of points spreads over several nodes.
+    fn small_leaf_indices(data: &Dataset) -> Vec<Box<dyn DpcIndex>> {
+        use crate::{GridConfig, GridIndex, KdTree, KdTreeConfig};
+        use crate::{Quadtree, QuadtreeConfig, RTree, RTreeConfig};
+        let grid = GridConfig {
+            target_points_per_cell: 1,
+            ..GridConfig::default()
+        };
+        let kd = KdTreeConfig {
+            leaf_capacity: 1,
+            ..KdTreeConfig::default()
+        };
+        let rtree = RTreeConfig {
+            node_capacity: 2,
+            ..RTreeConfig::default()
+        };
+        let quad = QuadtreeConfig {
+            node_capacity: 1,
+            ..QuadtreeConfig::default()
+        };
+        vec![
+            Box::new(GridIndex::with_config(data, &grid)),
+            Box::new(KdTree::with_config(data, &kd)),
+            Box::new(RTree::with_config(data, &rtree)),
+            Box::new(Quadtree::with_config(data, &quad)),
+        ]
+    }
+
+    #[test]
+    fn leaf_prefilter_keeps_delta_identical_to_the_reference_on_edge_cases() {
+        let r = 1.340_780_792_994_259_6e154; // √f64::MAX, rounded down
+        type Case = (&'static str, Vec<(f64, f64)>, Vec<Rho>);
+        let cases: Vec<Case> = vec![
+            // 1 + 2⁻⁵² rounds to a root of exactly 1: points 0 and 1 tie at
+            // δ = 1 from the query (point 2) although point 0's squared
+            // distance is one ulp larger, and the smaller id must win. Both
+            // orientations, so one of them puts the larger-d² point in the
+            // leaf scanned second.
+            (
+                "sqrt tie, x-major",
+                vec![
+                    (1.0, 2f64.powi(-26)),
+                    (1.0, 0.0),
+                    (0.0, 0.0),
+                    (3.0, 3.0),
+                    (-3.0, 3.0),
+                ],
+                vec![5.0, 5.0, 1.0, 0.0, 0.0],
+            ),
+            (
+                "sqrt tie, y-major",
+                vec![
+                    (2f64.powi(-26), 1.0),
+                    (0.0, 1.0),
+                    (0.0, 0.0),
+                    (3.0, -3.0),
+                    (-3.0, -3.0),
+                ],
+                vec![5.0, 5.0, 1.0, 0.0, 0.0],
+            ),
+            (
+                "sqrt tie, far apart",
+                vec![
+                    (2f64.powi(-26), 1.0),
+                    (1.0, 0.0),
+                    (0.0, 0.0),
+                    (-1.0, 0.0),
+                    (0.0, -1.0),
+                ],
+                vec![5.0, 5.0, 1.0, 0.0, 0.0],
+            ),
+            // Squared differences that are subnormal or underflow to zero.
+            (
+                "subnormal differences",
+                vec![
+                    (0.0, 0.0),
+                    (3e-161, 4e-161),
+                    (5e-161, 0.0),
+                    (1e-162, 2e-162),
+                    (1e-163, 0.0),
+                    (-4e-161, 3e-161),
+                    (2f64.powi(-537), 0.0),
+                ],
+                vec![1.0, 5.0, 5.0, 2.0, 2.0, 7.0, 3.0],
+            ),
+            // The best candidate sits at √f64::MAX, so the padded bound
+            // overflows to +∞; a denser point at infinite distance (its
+            // squared distance overflows too) is seen first by some trees.
+            (
+                "near overflow",
+                vec![
+                    (0.0, 0.0),
+                    (r, 0.0),
+                    (r - r * 0.75f64.sqrt(), 0.5 * r),
+                    (r, 1.0),
+                    (-r, 0.0),
+                    (0.0, -r),
+                ],
+                vec![9.0, 1.0, 5.0, 0.0, 0.0, 4.0],
+            ),
+            // Coincident points: δ = 0 ties resolved by id.
+            (
+                "coincident",
+                vec![
+                    (1.0, 1.0),
+                    (1.0, 1.0),
+                    (1.0, 1.0),
+                    (1.0, 1.0),
+                    (2.0, 1.0),
+                    (1.0, 1.0),
+                ],
+                vec![1.0, 3.0, 3.0, 5.0, 9.0, 3.0],
+            ),
+        ];
+        assert_eq!(
+            (1.0f64 + f64::EPSILON).sqrt(),
+            1.0,
+            "the tie cases need a √-tie"
+        );
+        assert!(dpc_core::sq_prefilter_bound(r).is_infinite());
+        for (name, coords, rho) in cases {
+            let data = Dataset::from_coords(coords);
+            let expected = NaiveReferenceIndex::build(&data).delta(1.0, &rho).unwrap();
+            if name.starts_with("sqrt tie") {
+                assert_eq!(expected.mu[2], Some(0), "{name}");
+            }
+            for index in small_leaf_indices(&data) {
+                let got = index.delta(1.0, &rho).unwrap();
+                assert_eq!(got.mu, expected.mu, "{name}: {}", index.name());
+                let bits =
+                    |d: &DeltaResult| d.delta.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expected), "{name}: {}", index.name());
+            }
+        }
     }
 
     #[test]
