@@ -2,10 +2,10 @@
 //! neighbour, plus the optional halo (border-noise) computation of the
 //! original DPC paper.
 //!
-//! Once the centres are chosen, the assignment is a single pass over the
-//! points in order of decreasing density: a centre starts its own cluster and
-//! every other point inherits the label of its dependent neighbour `µ`
-//! (which, being denser, has already been labelled). This is the `O(n)`
+//! Once the centres are chosen, a centre starts its own cluster and every
+//! other point inherits the label of its dependent neighbour `µ`. The labels
+//! are resolved by walking `µ` chains in id order and labelling each chain
+//! once, on the way back, so no density sort is needed: this is the `O(n)`
 //! fourth step of the original algorithm and is reused unchanged by every
 //! index-based variant in the paper.
 
@@ -43,9 +43,16 @@ impl AssignmentOptions {
 /// * `dc` — the cut-off distance (used only for the halo computation);
 /// * `options` — see [`AssignmentOptions`].
 ///
-/// Points whose `µ` is unknown (the global peak when it is not itself a
-/// centre, or points truncated by an approximate index) fall back to the
-/// nearest centre by Euclidean distance, which keeps the assignment total.
+/// A non-centre point `p` takes the label of `q = µ(p)` when `q` is denser
+/// than `p` or is a centre. Every other point — `µ` unknown (the global peak
+/// when it is not itself a centre, or points truncated by an approximate
+/// index) or `µ` pointing at a sparser non-centre (an inconsistent chain of
+/// an approximate index) — falls back to the nearest centre by Euclidean
+/// distance, which keeps the assignment total.
+///
+/// Each followed `µ` step either climbs the density order or ends at a
+/// centre, so chains are acyclic; every point is labelled once and the
+/// whole pass is `O(n)` plus the nearest-centre fallbacks.
 pub fn assign_clusters(
     dataset: &Dataset,
     order: &DensityOrder<'_>,
@@ -88,24 +95,32 @@ pub fn assign_clusters(
         labels[c] = cluster_id;
     }
 
-    // Walk points densest-first so that µ(p) is always labelled before p.
-    for p in order.rank_descending() {
-        if labels[p] != UNASSIGNED {
-            continue;
-        }
-        labels[p] = match deltas.mu(p) {
-            Some(q) => {
-                debug_assert!(order.is_denser(q, p));
-                if labels[q] == UNASSIGNED {
-                    // Can only happen with an inconsistent µ chain (e.g. a
-                    // truncated approximate index); fall back to nearest centre.
-                    nearest_center(dataset, p, centers)
-                } else {
-                    labels[q]
+    // Follow each unlabelled point's µ chain up to the first labelled point
+    // or fallback point, then label the whole chain on the way back. A point
+    // is a centre exactly when the cluster its label names is centred on it.
+    let is_center = |labels: &[usize], q: PointId| centers.get(labels[q]) == Some(&q);
+    let mut chain = Vec::new();
+    for start in 0..n {
+        let mut p = start;
+        let label = loop {
+            if labels[p] != UNASSIGNED {
+                break labels[p];
+            }
+            match deltas.mu(p) {
+                Some(q) if order.is_denser(q, p) || is_center(&labels, q) => {
+                    chain.push(p);
+                    p = q;
+                }
+                _ => {
+                    let label = nearest_center(dataset, p, centers);
+                    labels[p] = label;
+                    break label;
                 }
             }
-            None => nearest_center(dataset, p, centers),
         };
+        for q in chain.drain(..) {
+            labels[q] = label;
+        }
     }
 
     let halo = if options.compute_halo {
@@ -410,6 +425,120 @@ mod tests {
         let (centers2, clustering2) = run_once();
         assert_eq!(centers, centers2);
         assert_eq!(clustering, clustering2);
+    }
+
+    /// The densest-first loop the µ-chain walk replaced: ids sorted from
+    /// densest to sparsest, each point copying the label of its already
+    /// labelled µ, else taking the nearest centre.
+    fn densest_first_labels(
+        dataset: &Dataset,
+        order: &DensityOrder<'_>,
+        deltas: &DeltaResult,
+        centers: &[PointId],
+    ) -> Vec<usize> {
+        let mut labels = vec![usize::MAX; dataset.len()];
+        for (cluster_id, &c) in centers.iter().enumerate() {
+            labels[c] = cluster_id;
+        }
+        for p in order.rank_descending() {
+            if labels[p] != usize::MAX {
+                continue;
+            }
+            labels[p] = match deltas.mu(p) {
+                Some(q) if labels[q] != usize::MAX => labels[q],
+                _ => nearest_center(dataset, p, centers),
+            };
+        }
+        labels
+    }
+
+    #[test]
+    fn mu_chain_walk_matches_the_densest_first_loop() {
+        use crate::delta::TieBreak;
+        let mut state = 0xa551_u64;
+        let mut rng = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        // How often each shape of µ the walk must handle was generated.
+        let (mut centre_with_mu, mut none_off_peak, mut to_sparser, mut to_sparser_centre) =
+            (0, 0, 0, 0);
+        for case in 0..400 {
+            let n = 1 + rng(60) as usize;
+            let data = Dataset::new(
+                (0..n)
+                    .map(|_| Point::new(rng(8) as f64, rng(8) as f64))
+                    .collect(),
+            );
+            // Integer ρ: most comparisons are decided by the tie-break.
+            let rho: Vec<crate::density::Rho> = (0..n).map(|_| rng(4) as f64).collect();
+            let tie = if case % 2 == 0 {
+                TieBreak::SmallerIdDenser
+            } else {
+                TieBreak::LargerIdDenser
+            };
+            let order = DensityOrder::with_tie_break(&rho, tie);
+            let peak = order.global_peak().unwrap();
+            let mut centers: Vec<PointId> =
+                (0..1 + rng(4)).map(|_| rng(n as u64) as usize).collect();
+            centers.sort_unstable();
+            centers.dedup();
+            // µ as exact and approximate indexes report it: mostly a denser
+            // point, sometimes unknown (a truncated RN-List), sometimes an
+            // arbitrary point of an inconsistent chain (possibly sparser).
+            let mu: Vec<Option<PointId>> = (0..n)
+                .map(|p| {
+                    let denser: Vec<PointId> = (0..n).filter(|&q| order.is_denser(q, p)).collect();
+                    match rng(10) {
+                        0 => None,
+                        1 => Some(rng(n as u64) as usize),
+                        _ if denser.is_empty() => None,
+                        _ => Some(denser[rng(denser.len() as u64) as usize]),
+                    }
+                })
+                .collect();
+            for (p, &mu_p) in mu.iter().enumerate() {
+                let is_centre = centers.contains(&p);
+                match mu_p {
+                    Some(_) if is_centre => centre_with_mu += 1,
+                    None if p != peak => none_off_peak += 1,
+                    Some(q) if !order.is_denser(q, p) => {
+                        if centers.contains(&q) {
+                            to_sparser_centre += 1;
+                        } else {
+                            to_sparser += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            let deltas = DeltaResult::new(vec![1.0; n], mu);
+            let clustering = assign_clusters(
+                &data,
+                &order,
+                &deltas,
+                &centers,
+                1.0,
+                &AssignmentOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(
+                clustering.labels(),
+                densest_first_labels(&data, &order, &deltas, &centers),
+                "case {case}"
+            );
+        }
+        for (what, count) in [
+            ("centres with a µ", centre_with_mu),
+            ("µ = None off the peak", none_off_peak),
+            ("µ at a sparser non-centre", to_sparser),
+            ("µ at a sparser centre", to_sparser_centre),
+        ] {
+            assert!(count > 20, "too few cases of {what}: {count}");
+        }
     }
 
     #[test]

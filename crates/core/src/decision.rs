@@ -80,6 +80,11 @@ impl DecisionGraph {
     /// in `[0, 1]`; this is the standard way of ranking centre candidates
     /// when the decision graph is not inspected manually.
     pub fn gamma(&self) -> Vec<f64> {
+        self.gamma_scores().collect()
+    }
+
+    /// The γ of every point, in id order, without materialising a vector.
+    fn gamma_scores(&self) -> impl Iterator<Item = f64> + '_ {
         let max_rho = self.rho.iter().copied().fold(0.0, f64::max).max(1.0);
         let max_delta = self
             .delta
@@ -90,21 +95,40 @@ impl DecisionGraph {
         self.rho
             .iter()
             .zip(&self.delta)
-            .map(|(&r, &d)| (r / max_rho) * (d / max_delta))
+            .map(move |(&r, &d)| (r / max_rho) * (d / max_delta))
+    }
+
+    /// The `k` point ids with the largest γ, in decreasing γ (equal γ: the
+    /// smaller id first). `k` is clamped to the number of points.
+    pub fn top_gamma(&self, k: usize) -> Vec<PointId> {
+        self.top_gamma_scored(k)
+            .into_iter()
+            .map(|(_, p)| p)
             .collect()
     }
 
-    /// Point ids sorted by decreasing γ.
-    pub fn gamma_ranking(&self) -> Vec<PointId> {
-        let gamma = self.gamma();
-        let mut ids: Vec<PointId> = (0..self.len()).collect();
-        ids.sort_by(|&a, &b| {
-            gamma[b]
-                .partial_cmp(&gamma[a])
+    /// [`top_gamma`](Self::top_gamma) with each id's γ alongside.
+    ///
+    /// A partial selection moves the top `k` `(γ, id)` pairs to the front in
+    /// linear time; only that prefix is then sorted, so the cost is
+    /// `O(n + k log k)` rather than the `O(n log n)` of ranking every point.
+    fn top_gamma_scored(&self, k: usize) -> Vec<(f64, PointId)> {
+        let by_gamma = |a: &(f64, PointId), b: &(f64, PointId)| {
+            b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        ids
+                .then(a.1.cmp(&b.1))
+        };
+        let k = k.min(self.len());
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut ranked: Vec<(f64, PointId)> = self.gamma_scores().zip(0..).collect();
+        if k < ranked.len() {
+            ranked.select_nth_unstable_by(k - 1, by_gamma);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(by_gamma);
+        ranked
     }
 
     /// Selects cluster centres according to a strategy. The returned ids are
@@ -130,12 +154,11 @@ impl DecisionGraph {
                         available: self.len(),
                     });
                 }
-                self.gamma_ranking().into_iter().take(*k).collect()
+                self.top_gamma(*k)
             }
             CenterSelection::GammaGap { max_centers } => {
                 let cap = (*max_centers).min(self.len()).max(1);
-                let ranking = self.gamma_ranking();
-                let gamma = self.gamma();
+                let ranking = self.top_gamma_scored(cap + 1);
                 // Find the largest *relative* drop between consecutive γ
                 // values within the first `cap + 1` candidates; the centres
                 // are everything before the drop. A relative (ratio) gap is
@@ -145,15 +168,14 @@ impl DecisionGraph {
                 let mut best_cut = 1;
                 let mut best_ratio = 0.0f64;
                 for i in 0..cap.min(ranking.len().saturating_sub(1)) {
-                    let hi = gamma[ranking[i]];
-                    let lo = gamma[ranking[i + 1]];
+                    let (hi, lo) = (ranking[i].0, ranking[i + 1].0);
                     let ratio = hi / lo.max(1e-12);
                     if ratio > best_ratio {
                         best_ratio = ratio;
                         best_cut = i + 1;
                     }
                 }
-                ranking.into_iter().take(best_cut).collect()
+                ranking[..best_cut].iter().map(|&(_, p)| p).collect()
             }
             CenterSelection::Explicit { centers } => {
                 for &c in centers {
@@ -337,6 +359,85 @@ mod tests {
     fn mismatched_lengths_are_rejected() {
         let delta = DeltaResult::unset(3);
         assert!(DecisionGraph::new(vec![1.0, 2.0], &delta).is_err());
+    }
+
+    /// Deterministic SplitMix64 stream for the randomised tests.
+    fn splitmix(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |bound| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    /// Every id ranked by a full sort: decreasing γ, equal γ by id.
+    fn full_ranking(gamma: &[f64]) -> Vec<PointId> {
+        let mut ids: Vec<PointId> = (0..gamma.len()).collect();
+        ids.sort_by(|&a, &b| {
+            gamma[b]
+                .partial_cmp(&gamma[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        ids
+    }
+
+    /// The γ-gap rule evaluated over the full ranking.
+    fn gap_cut_over_full_ranking(g: &DecisionGraph, max_centers: usize) -> Vec<PointId> {
+        let gamma = g.gamma();
+        let ranking = full_ranking(&gamma);
+        let cap = max_centers.min(g.len()).max(1);
+        let (mut best_cut, mut best_ratio) = (1, 0.0f64);
+        for i in 0..cap.min(ranking.len().saturating_sub(1)) {
+            let ratio = gamma[ranking[i]] / gamma[ranking[i + 1]].max(1e-12);
+            if ratio > best_ratio {
+                best_ratio = ratio;
+                best_cut = i + 1;
+            }
+        }
+        let mut centers = ranking[..best_cut].to_vec();
+        centers.sort_unstable();
+        centers
+    }
+
+    #[test]
+    fn partial_gamma_selection_matches_the_full_ranking_prefix() {
+        let mut rng = splitmix(0x6a3a);
+        for _ in 0..300 {
+            let n = 1 + rng(150) as usize;
+            // Integer ρ (zero included) and δ drawn from four values make
+            // exact γ ties the rule, not the exception.
+            let rho: Vec<Rho> = (0..n).map(|_| rng(6) as f64).collect();
+            let delta: Vec<f64> = (0..n)
+                .map(|_| [0.25, 1.0, 1.5, 4.0][rng(4) as usize])
+                .collect();
+            let g = DecisionGraph::new(rho, &DeltaResult::new(delta, vec![None; n])).unwrap();
+            let full = full_ranking(&g.gamma());
+            assert_eq!(g.top_gamma(n + 3), full);
+            for k in [1, 2, n - 1, n] {
+                if k == 0 || k > n {
+                    continue;
+                }
+                assert_eq!(g.top_gamma(k), full[..k], "n = {n}, k = {k}");
+                let mut expected = full[..k].to_vec();
+                expected.sort_unstable();
+                let centers = g.select_centers(&CenterSelection::TopKGamma { k }).unwrap();
+                assert_eq!(centers, expected, "n = {n}, k = {k}");
+            }
+            for max_centers in [1, 64, n, n + 5] {
+                let centers = g
+                    .select_centers(&CenterSelection::GammaGap { max_centers })
+                    .unwrap();
+                assert_eq!(
+                    centers,
+                    gap_cut_over_full_ranking(&g, max_centers),
+                    "n = {n}, cap = {max_centers}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,9 @@
 //! same ops and to a cold batch run over the surviving points, for every
 //! [`UpdatableIndex`] implementation, at every thread count.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -418,8 +420,9 @@ pub struct StreamingDpc<I: UpdatableIndex> {
     /// Dense id of the global peak (`None` for an empty window).
     peak: Option<PointId>,
     clustering: Clustering,
-    /// Stable view of the previous epoch: point handle → centre handle.
-    assignment: BTreeMap<Handle, Handle>,
+    /// Stable view of the previous epoch: `(point handle, centre handle)`
+    /// pairs in ascending point-handle order.
+    assignment: Vec<(Handle, Handle)>,
     epoch: u64,
     /// The decay clock: how many aging passes (committed epochs + effective
     /// ticks) have run. Decoupled from [`epoch`](Self::epoch) so a
@@ -526,7 +529,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             handles: HandleMap::with_dense_len(n),
             peak,
             clustering: Clustering::new(vec![], vec![], vec![]),
-            assignment: BTreeMap::new(),
+            assignment: Vec::new(),
             epoch: 0,
             age_epoch: 0,
             stats: StreamStats::default(),
@@ -1449,12 +1452,17 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
     /// epoch) the density state remains exact, but the stored clustering
     /// still describes the previous epoch.
     fn recluster(&mut self) -> Result<ClusterDelta> {
+        let rec = self.recorder.clone();
         let n = self.len();
         let (clustering, new_assignment) = if n == 0 {
-            (Clustering::new(vec![], vec![], vec![]), BTreeMap::new())
+            (Clustering::new(vec![], vec![], vec![]), Vec::new())
         } else {
-            let graph = DecisionGraph::new(self.rho.clone(), &self.deltas)?;
-            let centers = graph.select_centers(&self.params.dpc.centers)?;
+            let centers = {
+                let _select_span = span(&rec, "stream.phase.recluster.select");
+                DecisionGraph::new(self.rho.clone(), &self.deltas)?
+                    .select_centers(&self.params.dpc.centers)?
+            };
+            let _assign_span = span(&rec, "stream.phase.recluster.assign");
             let order = DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break);
             let clustering = assign_clusters(
                 self.index.dataset(),
@@ -1464,17 +1472,27 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 self.params.dpc.dc,
                 &self.params.dpc.assignment,
             )?;
-            let mut assignment = BTreeMap::new();
-            for p in 0..n {
-                let center = clustering.centers()[clustering.label(p)];
-                assignment.insert(self.handles.handle_at(p), self.handles.handle_at(center));
-            }
+            // Walking the handle map in handle order yields the stable view
+            // already sorted, with no per-point map insertion.
+            let center_handles: Vec<Handle> = clustering
+                .centers()
+                .iter()
+                .map(|&c| self.handles.handle_at(c))
+                .collect();
+            let assignment = self
+                .handles
+                .iter()
+                .map(|(h, p)| (h, center_handles[clustering.label(p)]))
+                .collect();
             (clustering, assignment)
         };
 
         self.epoch += 1;
         self.stats.epochs += 1;
-        let delta = diff_assignments(self.epoch, &self.assignment, &new_assignment);
+        let delta = {
+            let _diff_span = span(&rec, "stream.phase.recluster.diff");
+            diff_assignments(self.epoch, &self.assignment, &new_assignment)
+        };
         self.assignment = new_assignment;
         self.clustering = clustering;
         Ok(delta)
@@ -1504,7 +1522,8 @@ pub fn aged_weight(kernel: Kernel, d2: f64, lambda: f64, age: u64) -> f64 {
     kernel.weight_from_sq(d2) * decay_factor(lambda, age)
 }
 
-/// Diffs two stable (point handle → centre handle) assignments.
+/// Diffs two stable assignments, each a list of `(point handle, centre
+/// handle)` pairs in ascending point-handle order.
 ///
 /// A centre handle that leaves the centre set does not necessarily mean its
 /// cluster died: when the centre *point* expires but the population
@@ -1513,133 +1532,157 @@ pub fn aged_weight(kernel: Kernel, d2: f64, lambda: f64, age: u64) -> f64 {
 /// at least [`ClusterDelta::JACCARD_THRESHOLD`] are therefore matched
 /// greedily (best overlap first, deterministic handle-order tie-break) and
 /// reported as `recentred` survivors instead of a death + birth pair.
+///
+/// One merge of the two sorted lists finds every changed label and every
+/// (dying, newborn) overlap, so the diff is linear in the window size.
 fn diff_assignments(
     epoch: u64,
-    old: &BTreeMap<Handle, Handle>,
-    new: &BTreeMap<Handle, Handle>,
+    old: &[(Handle, Handle)],
+    new: &[(Handle, Handle)],
 ) -> ClusterDelta {
-    use std::collections::BTreeSet;
-    let old_centers: BTreeSet<Handle> = old.values().copied().collect();
-    let new_centers: BTreeSet<Handle> = new.values().copied().collect();
-    let mut births: Vec<Handle> = new_centers.difference(&old_centers).copied().collect();
-    let mut deaths: Vec<Handle> = old_centers.difference(&new_centers).copied().collect();
+    let old_sizes = cluster_sizes(old);
+    let new_sizes = cluster_sizes(new);
+    let size_of = |sizes: &[(Handle, usize)], c: Handle| {
+        sizes
+            .binary_search_by_key(&c, |&(h, _)| h)
+            .map(|i| sizes[i].1)
+            .ok()
+    };
+    let mut births: Vec<Handle> = new_sizes
+        .iter()
+        .map(|&(c, _)| c)
+        .filter(|&c| size_of(&old_sizes, c).is_none())
+        .collect();
+    let mut deaths: Vec<Handle> = old_sizes
+        .iter()
+        .map(|&(c, _)| c)
+        .filter(|&c| size_of(&new_sizes, c).is_none())
+        .collect();
+
+    // Both lists ascend by point handle; a classic merge collects every
+    // handle present in either, and counts the points that moved from a
+    // dying to a newborn centre.
+    let mut changed = Vec::new();
+    let mut overlap: BTreeMap<(Handle, Handle), usize> = BTreeMap::new();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let step = match (old.get(i), new.get(j)) {
+            (Some(&(ho, _)), Some(&(hn, _))) => ho.cmp(&hn),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => break,
+        };
+        match step {
+            Ordering::Less => {
+                let (handle, co) = old[i];
+                changed.push(LabelChange {
+                    handle,
+                    old: Some(co),
+                    new: None,
+                });
+                i += 1;
+            }
+            Ordering::Greater => {
+                let (handle, cn) = new[j];
+                changed.push(LabelChange {
+                    handle,
+                    old: None,
+                    new: Some(cn),
+                });
+                j += 1;
+            }
+            Ordering::Equal => {
+                let ((handle, co), (_, cn)) = (old[i], new[j]);
+                if co != cn {
+                    changed.push(LabelChange {
+                        handle,
+                        old: Some(co),
+                        new: Some(cn),
+                    });
+                    if deaths.binary_search(&co).is_ok() && births.binary_search(&cn).is_ok() {
+                        *overlap.entry((co, cn)).or_default() += 1;
+                    }
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
 
     // Identity matching: pair each dying centre with the newborn centre
     // whose membership overlaps it the most, if the overlap clears the
     // Jaccard threshold. Clusters whose centre survived keep their identity
     // trivially and never take part.
+    let mut candidates: Vec<(f64, Handle, Handle)> = overlap
+        .iter()
+        .map(|(&(co, cn), &inter)| {
+            let old_size = size_of(&old_sizes, co).expect("a dying centre labels old points");
+            let new_size = size_of(&new_sizes, cn).expect("a newborn centre labels new points");
+            let union = old_size + new_size - inter;
+            (inter as f64 / union as f64, co, cn)
+        })
+        .filter(|&(jaccard, _, _)| jaccard >= ClusterDelta::JACCARD_THRESHOLD)
+        .collect();
+    candidates.sort_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then_with(|| a.1.cmp(&b.1))
+            .then_with(|| a.2.cmp(&b.2))
+    });
     let mut recentred: Vec<(Handle, Handle)> = Vec::new();
-    if !births.is_empty() && !deaths.is_empty() {
-        let mut old_size: BTreeMap<Handle, usize> = BTreeMap::new();
-        let mut new_size: BTreeMap<Handle, usize> = BTreeMap::new();
-        for &c in old.values() {
-            *old_size.entry(c).or_default() += 1;
-        }
-        for &c in new.values() {
-            *new_size.entry(c).or_default() += 1;
-        }
-        let dead: BTreeSet<Handle> = deaths.iter().copied().collect();
-        let born: BTreeSet<Handle> = births.iter().copied().collect();
-        // Overlap counts over the points present in both epochs, restricted
-        // to (dying, newborn) cluster pairs.
-        let mut overlap: BTreeMap<(Handle, Handle), usize> = BTreeMap::new();
-        for (h, &co) in old {
-            if let Some(&cn) = new.get(h) {
-                if dead.contains(&co) && born.contains(&cn) {
-                    *overlap.entry((co, cn)).or_default() += 1;
-                }
-            }
-        }
-        let mut candidates: Vec<(f64, Handle, Handle)> = overlap
-            .iter()
-            .map(|(&(co, cn), &inter)| {
-                let union = old_size[&co] + new_size[&cn] - inter;
-                (inter as f64 / union as f64, co, cn)
-            })
-            .filter(|&(jaccard, _, _)| jaccard >= ClusterDelta::JACCARD_THRESHOLD)
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.cmp(&b.2))
-        });
-        let mut matched_old: BTreeSet<Handle> = BTreeSet::new();
-        let mut matched_new: BTreeSet<Handle> = BTreeSet::new();
-        for (_, co, cn) in candidates {
-            if !matched_old.contains(&co) && !matched_new.contains(&cn) {
-                matched_old.insert(co);
-                matched_new.insert(cn);
-                recentred.push((co, cn));
-            }
-        }
-        if !recentred.is_empty() {
-            recentred.sort_unstable();
-            births.retain(|c| !matched_new.contains(c));
-            deaths.retain(|c| !matched_old.contains(c));
+    for (_, co, cn) in candidates {
+        if recentred.iter().all(|&(mo, mn)| mo != co && mn != cn) {
+            recentred.push((co, cn));
         }
     }
-
-    let mut changed = Vec::new();
-    // Both maps iterate in ascending handle order; a classic merge collects
-    // every handle present in either.
-    let mut old_iter = old.iter().peekable();
-    let mut new_iter = new.iter().peekable();
-    loop {
-        match (old_iter.peek(), new_iter.peek()) {
-            (Some(&(&ho, &co)), Some(&(&hn, &cn))) => {
-                if ho < hn {
-                    changed.push(LabelChange {
-                        handle: ho,
-                        old: Some(co),
-                        new: None,
-                    });
-                    old_iter.next();
-                } else if hn < ho {
-                    changed.push(LabelChange {
-                        handle: hn,
-                        old: None,
-                        new: Some(cn),
-                    });
-                    new_iter.next();
-                } else {
-                    if co != cn {
-                        changed.push(LabelChange {
-                            handle: ho,
-                            old: Some(co),
-                            new: Some(cn),
-                        });
-                    }
-                    old_iter.next();
-                    new_iter.next();
-                }
-            }
-            (Some(&(&ho, &co)), None) => {
-                changed.push(LabelChange {
-                    handle: ho,
-                    old: Some(co),
-                    new: None,
-                });
-                old_iter.next();
-            }
-            (None, Some(&(&hn, &cn))) => {
-                changed.push(LabelChange {
-                    handle: hn,
-                    old: None,
-                    new: Some(cn),
-                });
-                new_iter.next();
-            }
-            (None, None) => break,
-        }
+    if !recentred.is_empty() {
+        recentred.sort_unstable();
+        births.retain(|&c| recentred.iter().all(|&(_, mn)| mn != c));
+        deaths.retain(|&c| recentred.iter().all(|&(mo, _)| mo != c));
     }
 
     ClusterDelta {
         epoch,
-        num_clusters: new_centers.len(),
+        num_clusters: new_sizes.len(),
         births,
         deaths,
         recentred,
         changed,
+    }
+}
+
+/// The distinct centre handles of an assignment with their member counts,
+/// in ascending centre-handle order.
+fn cluster_sizes(assignment: &[(Handle, Handle)]) -> Vec<(Handle, usize)> {
+    let mut sizes: HashMap<Handle, usize, BuildHasherDefault<HandleHasher>> = HashMap::default();
+    for &(_, c) in assignment {
+        *sizes.entry(c).or_default() += 1;
+    }
+    let mut sizes: Vec<(Handle, usize)> = sizes.into_iter().collect();
+    sizes.sort_unstable();
+    sizes
+}
+
+/// A one-multiply hash for [`Handle`] keys. Handles are engine-issued
+/// tickets, not attacker-chosen input, so SipHash's flooding resistance
+/// buys nothing and its cost would dominate [`cluster_sizes`].
+#[derive(Default)]
+struct HandleHasher(u64);
+
+impl Hasher for HandleHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        // Fibonacci hashing: the golden-ratio multiplier spreads
+        // consecutive handles over both the low and the high bits.
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -1759,7 +1802,7 @@ mod tests {
 
     #[test]
     fn diff_matches_identity_only_above_the_jaccard_threshold() {
-        let map = |pairs: &[(u64, u64)]| -> BTreeMap<Handle, Handle> {
+        let map = |pairs: &[(u64, u64)]| -> Vec<(Handle, Handle)> {
             pairs.iter().map(|&(h, c)| (Handle(h), Handle(c))).collect()
         };
         // Centre #0 expires, survivors {1, 2} re-centre at #1:
@@ -1788,6 +1831,185 @@ mod tests {
         assert_eq!(d.recentred, vec![(Handle(0), Handle(1))]);
         assert!(d.births.is_empty());
         assert_eq!(d.deaths, vec![Handle(5)]);
+    }
+
+    /// The (point handle → centre handle) diff over ordered maps that the
+    /// handle-sorted merge replaced, kept as the reference it must match.
+    fn btree_diff(
+        epoch: u64,
+        old: &BTreeMap<Handle, Handle>,
+        new: &BTreeMap<Handle, Handle>,
+    ) -> ClusterDelta {
+        use std::collections::BTreeSet;
+        let old_centers: BTreeSet<Handle> = old.values().copied().collect();
+        let new_centers: BTreeSet<Handle> = new.values().copied().collect();
+        let mut births: Vec<Handle> = new_centers.difference(&old_centers).copied().collect();
+        let mut deaths: Vec<Handle> = old_centers.difference(&new_centers).copied().collect();
+
+        // Identity matching: pair each dying centre with the newborn centre
+        // whose membership overlaps it the most, if the overlap clears the
+        // Jaccard threshold. Clusters whose centre survived keep their identity
+        // trivially and never take part.
+        let mut recentred: Vec<(Handle, Handle)> = Vec::new();
+        if !births.is_empty() && !deaths.is_empty() {
+            let mut old_size: BTreeMap<Handle, usize> = BTreeMap::new();
+            let mut new_size: BTreeMap<Handle, usize> = BTreeMap::new();
+            for &c in old.values() {
+                *old_size.entry(c).or_default() += 1;
+            }
+            for &c in new.values() {
+                *new_size.entry(c).or_default() += 1;
+            }
+            let dead: BTreeSet<Handle> = deaths.iter().copied().collect();
+            let born: BTreeSet<Handle> = births.iter().copied().collect();
+            // Overlap counts over the points present in both epochs, restricted
+            // to (dying, newborn) cluster pairs.
+            let mut overlap: BTreeMap<(Handle, Handle), usize> = BTreeMap::new();
+            for (h, &co) in old {
+                if let Some(&cn) = new.get(h) {
+                    if dead.contains(&co) && born.contains(&cn) {
+                        *overlap.entry((co, cn)).or_default() += 1;
+                    }
+                }
+            }
+            let mut candidates: Vec<(f64, Handle, Handle)> = overlap
+                .iter()
+                .map(|(&(co, cn), &inter)| {
+                    let union = old_size[&co] + new_size[&cn] - inter;
+                    (inter as f64 / union as f64, co, cn)
+                })
+                .filter(|&(jaccard, _, _)| jaccard >= ClusterDelta::JACCARD_THRESHOLD)
+                .collect();
+            candidates.sort_by(|a, b| {
+                b.0.total_cmp(&a.0)
+                    .then_with(|| a.1.cmp(&b.1))
+                    .then_with(|| a.2.cmp(&b.2))
+            });
+            let mut matched_old: BTreeSet<Handle> = BTreeSet::new();
+            let mut matched_new: BTreeSet<Handle> = BTreeSet::new();
+            for (_, co, cn) in candidates {
+                if !matched_old.contains(&co) && !matched_new.contains(&cn) {
+                    matched_old.insert(co);
+                    matched_new.insert(cn);
+                    recentred.push((co, cn));
+                }
+            }
+            if !recentred.is_empty() {
+                recentred.sort_unstable();
+                births.retain(|c| !matched_new.contains(c));
+                deaths.retain(|c| !matched_old.contains(c));
+            }
+        }
+
+        let mut changed = Vec::new();
+        // Both maps iterate in ascending handle order; a classic merge collects
+        // every handle present in either.
+        let mut old_iter = old.iter().peekable();
+        let mut new_iter = new.iter().peekable();
+        loop {
+            match (old_iter.peek(), new_iter.peek()) {
+                (Some(&(&ho, &co)), Some(&(&hn, &cn))) => {
+                    if ho < hn {
+                        changed.push(LabelChange {
+                            handle: ho,
+                            old: Some(co),
+                            new: None,
+                        });
+                        old_iter.next();
+                    } else if hn < ho {
+                        changed.push(LabelChange {
+                            handle: hn,
+                            old: None,
+                            new: Some(cn),
+                        });
+                        new_iter.next();
+                    } else {
+                        if co != cn {
+                            changed.push(LabelChange {
+                                handle: ho,
+                                old: Some(co),
+                                new: Some(cn),
+                            });
+                        }
+                        old_iter.next();
+                        new_iter.next();
+                    }
+                }
+                (Some(&(&ho, &co)), None) => {
+                    changed.push(LabelChange {
+                        handle: ho,
+                        old: Some(co),
+                        new: None,
+                    });
+                    old_iter.next();
+                }
+                (None, Some(&(&hn, &cn))) => {
+                    changed.push(LabelChange {
+                        handle: hn,
+                        old: None,
+                        new: Some(cn),
+                    });
+                    new_iter.next();
+                }
+                (None, None) => break,
+            }
+        }
+
+        ClusterDelta {
+            epoch,
+            num_clusters: new_centers.len(),
+            births,
+            deaths,
+            recentred,
+            changed,
+        }
+    }
+
+    /// The engine's current labelling as an ordered map, derived from its
+    /// public state rather than from the stored assignment.
+    fn assignment_map<I: UpdatableIndex>(engine: &StreamingDpc<I>) -> BTreeMap<Handle, Handle> {
+        let clustering = engine.clustering();
+        (0..engine.len())
+            .map(|p| {
+                let centre = clustering.centers()[clustering.label(p)];
+                (engine.handle_at(p), engine.handle_at(centre))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sorted_diff_matches_the_ordered_map_diff_over_a_sliding_window() {
+        use dpc_datasets::testsupport::{test_points, TestDistribution};
+        use dpc_tree_index::GridIndex;
+        let window = 240;
+        let dc = 40.0;
+        for batch in [1, 64] {
+            let points = test_points(TestDistribution::Skewed, window + 1_600, 7);
+            let params = StreamParams::new(dc).with_dpc(
+                DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 64 }),
+            );
+            let seed = Dataset::new(points[..window].to_vec());
+            let mut engine = StreamingDpc::new(GridIndex::build(&seed), params).unwrap();
+            let mut before = assignment_map(&engine);
+            let (mut recentred, mut births, mut deaths) = (0, 0, 0);
+            for chunk in points[window..].chunks(batch) {
+                let (_, delta) = engine.advance(chunk, chunk.len()).unwrap();
+                let after = assignment_map(&engine);
+                assert_eq!(
+                    delta,
+                    btree_diff(delta.epoch, &before, &after),
+                    "batch {batch}"
+                );
+                recentred += usize::from(!delta.recentred.is_empty());
+                births += usize::from(!delta.births.is_empty());
+                deaths += usize::from(!delta.deaths.is_empty());
+                before = after;
+            }
+            assert!(
+                recentred > 0 && births > 0 && deaths > 0,
+                "batch {batch}: {recentred} recentred, {births} birth, {deaths} death epochs"
+            );
+        }
     }
 
     #[test]

@@ -32,13 +32,7 @@ fn main() {
         .expect("clustering failed");
 
     println!("\ndecision graph: top centre candidates (rho, delta):");
-    for (rank, &p) in run
-        .decision_graph
-        .gamma_ranking()
-        .iter()
-        .take(5)
-        .enumerate()
-    {
+    for (rank, &p) in run.decision_graph.top_gamma(5).iter().enumerate() {
         println!(
             "  #{rank}: point {p} with rho = {}, delta = {:.0}",
             run.decision_graph.rho(p),
