@@ -1,9 +1,7 @@
-//! The shared brute-force ρ/δ kernels behind [`LeanDpc`](crate::LeanDpc) and
-//! [`ParallelDpc`](crate::ParallelDpc).
+//! The brute-force ρ/δ kernels behind [`LeanDpc`](crate::LeanDpc)'s
+//! queries under an [`ExecPolicy`].
 //!
-//! Both baselines answer queries by scanning every point against every other
-//! point; the only difference is the execution policy they pass in. The
-//! kernels stream over the dataset's structure-of-arrays coordinate slices
+//! They scan every point against every other point. The kernels stream over the dataset's structure-of-arrays coordinate slices
 //! (cache-friendly, vectorisable). The ρ kernel is sqrt-free; the δ kernel
 //! runs `dpc-core`'s canonical per-point scan, which roots only the
 //! candidates that could still tie the best distance.

@@ -6,10 +6,10 @@
 
 use std::time::Duration;
 
-use dpc_core::index::{eps_neighbors_scan, validate_dc, validate_rho_len};
+use dpc_core::index::{eps_neighbors_scan, validate_dc, validate_rho_len, weighted_rho_scan};
 use dpc_core::{
-    Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Point, PointId, Result,
-    Rho, TieBreak, Timer, UpdatableIndex,
+    Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Point, PointId, Query, Result, Rho,
+    TieBreak, Timer, UpdatableIndex,
 };
 
 /// The memory-lean O(n²)-time baseline.
@@ -46,11 +46,20 @@ impl DpcIndex for LeanDpc {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        validate_dc(dc)?;
+    fn rho_query(&self, q: &Query<'_>) -> Result<Vec<Rho>> {
+        if !q.kernel.is_cutoff() {
+            return weighted_rho_scan(&self.dataset, q.dc, q.kernel, q.exec);
+        }
+        validate_dc(q.dc)?;
+        // The sequential path keeps the symmetric i < j pair loop (half the
+        // distance computations); the parallel path runs the per-point scan
+        // kernel. Both produce identical integer counts.
+        if q.exec.workers(self.dataset.len()) > 1 {
+            return Ok(crate::brute::rho_scan(&self.dataset, q.dc, q.exec));
+        }
         let pts = self.dataset.points();
         let n = pts.len();
-        let dc2 = dc * dc;
+        let dc2 = q.dc * q.dc;
         let mut rho = vec![0.0 as Rho; n];
         for i in 0..n {
             for j in (i + 1)..n {
@@ -63,26 +72,11 @@ impl DpcIndex for LeanDpc {
         Ok(rho)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_policy(dc, rho, ExecPolicy::Sequential)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        // The sequential path keeps the symmetric i < j pair loop (half the
-        // distance computations); the parallel path runs the shared
-        // per-point scan kernel. Both produce identical integer counts.
-        if policy.workers(self.dataset.len()) <= 1 {
-            return self.rho(dc);
-        }
-        validate_dc(dc)?;
-        Ok(crate::brute::rho_scan(&self.dataset, dc, policy))
-    }
-
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        validate_dc(dc)?;
+    fn delta_query(&self, q: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        validate_dc(q.dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(crate::brute::delta_scan(&self.dataset, &order, policy))
+        Ok(crate::brute::delta_scan(&self.dataset, &order, q.exec))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -136,13 +130,25 @@ mod tests {
         let lean = LeanDpc::build(&data);
         let dc = 40_000.0;
         let (seq_rho, seq_delta) = lean.rho_delta(dc).unwrap();
-        for threads in [1usize, 2, 3, 7] {
-            let policy = ExecPolicy::Threads(threads);
-            let (rho, delta) = lean.rho_delta_with_policy(dc, policy).unwrap();
+        // 400 threads exceed the 250 points: workers are clamped to n.
+        for threads in [1usize, 2, 3, 7, 400] {
+            let q = Query {
+                exec: dpc_core::ExecPolicy::Threads(threads),
+                ..Query::new(dc)
+            };
+            let rho = lean.rho_query(&q).unwrap();
+            let delta = lean.delta_query(&q, &rho).unwrap();
             assert_eq!(rho, seq_rho, "threads = {threads}");
             assert_eq!(delta.delta, seq_delta.delta, "threads = {threads}");
             assert_eq!(delta.mu, seq_delta.mu, "threads = {threads}");
         }
+        let empty = LeanDpc::build(&Dataset::new(vec![]));
+        let q = Query {
+            exec: dpc_core::ExecPolicy::Threads(4),
+            ..Query::new(1.0)
+        };
+        assert!(empty.rho_query(&q).unwrap().is_empty());
+        assert!(empty.delta_query(&q, &[]).unwrap().is_empty());
     }
 
     #[test]

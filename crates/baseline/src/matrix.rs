@@ -3,9 +3,9 @@
 
 use std::time::Duration;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
+use dpc_core::index::{validate_dc, validate_rho_len, weighted_rho_scan};
 use dpc_core::{
-    Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Result, Rho, TieBreak, Timer,
+    Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Query, Result, Rho, TieBreak, Timer,
 };
 
 /// Condensed symmetric pairwise-distance matrix.
@@ -105,7 +105,11 @@ impl DpcIndex for MatrixDpc {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
+    fn rho_query(&self, q: &Query<'_>) -> Result<Vec<Rho>> {
+        if !q.kernel.is_cutoff() {
+            return weighted_rho_scan(&self.dataset, q.dc, q.kernel, q.exec);
+        }
+        let dc = q.dc;
         validate_dc(dc)?;
         let n = self.dataset.len();
         let mut rho = vec![0.0 as Rho; n];
@@ -120,8 +124,8 @@ impl DpcIndex for MatrixDpc {
         Ok(rho)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        validate_dc(dc)?;
+    fn delta_query(&self, q: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        validate_dc(q.dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let n = self.dataset.len();
         let order = DensityOrder::with_tie_break(rho, self.tie);

@@ -99,7 +99,7 @@ fn ablate_one(kind: DatasetKind, config: &ExperimentConfig) -> ResultTable {
     for (name, rho, delta_fn) in &indices {
         for (pruning_name, pruning) in pruning_variants() {
             let reps = config.repetitions.max(1);
-            let (time, (_, stats)) = dpc_metrics::measure_median(reps, || delta_fn(rho, &pruning));
+            let (time, (_, stats)) = dpc_obs::measure_median(reps, || delta_fn(rho, &pruning));
             table.add_row(&[
                 name.to_string(),
                 pruning_name.to_string(),

@@ -39,7 +39,7 @@ pub fn run(config: &ExperimentConfig) -> Vec<ResultTable> {
 
     for dc in FIG1_DC_VALUES {
         let (query_time, (rho, deltas)) =
-            dpc_metrics::measure_median(config.repetitions.max(1), || {
+            dpc_obs::measure_median(config.repetitions.max(1), || {
                 index.rho_delta(dc).expect("queries must succeed")
             });
         let graph = DecisionGraph::new(rho.clone(), &deltas).expect("decision graph");

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use dpc_core::{DpcIndex, ExecPolicy};
+use dpc_core::{DpcIndex, ExecPolicy, Query};
 use dpc_datasets::{DatasetKind, DatasetSpec};
 use dpc_tree_index::{GridIndex, KdTree, Quadtree, RTree};
 
@@ -71,7 +71,7 @@ pub struct ScalingReport {
 }
 
 /// Runs the sweep: builds each tree index once over an S1 dataset of
-/// `options.n` points, then measures `rho_delta_with_policy` for every thread
+/// `options.n` points, then measures the ρ- and δ-query for every thread
 /// count. Results are bit-identical across the sweep (asserted here), only
 /// the wall-clock time varies.
 ///
@@ -106,11 +106,16 @@ pub fn run(options: &ScalingOptions) -> ScalingReport {
             .expect("sequential query must succeed");
         let mut base = Duration::ZERO;
         for &threads in &options.threads {
-            let policy = ExecPolicy::Threads(threads);
-            let (median, result) = dpc_metrics::measure_median(options.repetitions, || {
-                index
-                    .rho_delta_with_policy(options.dc, policy)
-                    .expect("parallel query must succeed")
+            let q = Query {
+                exec: ExecPolicy::Threads(threads),
+                ..Query::new(options.dc)
+            };
+            let (median, result) = dpc_obs::measure_median(options.repetitions, || {
+                let rho = index.rho_query(&q).expect("parallel query must succeed");
+                let deltas = index
+                    .delta_query(&q, &rho)
+                    .expect("parallel query must succeed");
+                (rho, deltas)
             });
             assert_eq!(
                 result.0, reference.0,

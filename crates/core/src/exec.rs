@@ -14,11 +14,11 @@
 //! Determinism is by construction: each output slot is written by exactly one
 //! worker running exactly the same per-point code as the sequential path, so
 //! parallel results are bit-identical to sequential results at every thread
-//! count. The chunk partitioning logic lives here and nowhere else —
-//! `ParallelDpc`, the neighbour-list builder and every index's parallel
-//! query all go through these two functions.
+//! count. The chunk partitioning logic lives here and nowhere else — the
+//! brute-force scans, the neighbour-list builder and every index's parallel
+//! query all go through these functions, one per output shape.
 
-use dpc_obs::Recorder;
+use dpc_obs::{NoopRecorder, Recorder};
 use std::time::Instant;
 
 /// How per-point query work is partitioned across worker threads.
@@ -88,39 +88,7 @@ where
     M: Fn() -> S + Sync,
     B: Fn(usize, &mut S) -> T + Sync,
 {
-    let n = out.len();
-    let workers = policy.workers(n);
-    if workers <= 1 {
-        let mut scratch = make_scratch();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = body(i, &mut scratch);
-        }
-        return vec![scratch];
-    }
-    let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(chunk_idx, out_chunk)| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let mut scratch = make_scratch();
-                    for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = body(start + offset, &mut scratch);
-                    }
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker thread panicked"))
-            .collect()
-    })
-    .expect("query worker thread panicked")
+    fill_slice_recorded(out, policy, &NoopRecorder, "", make_scratch, body)
 }
 
 /// Like [`fill_slice`], but fills two parallel output slices at once:
@@ -145,55 +113,14 @@ where
     M: Fn() -> S + Sync,
     F: Fn(usize, &mut A, &mut B, &mut S) + Sync,
 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "fill_slice_pair: output slices must have the same length"
-    );
-    let n = a.len();
-    let workers = policy.workers(n);
-    if workers <= 1 {
-        let mut scratch = make_scratch();
-        for (i, (slot_a, slot_b)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            body(i, slot_a, slot_b, &mut scratch);
-        }
-        return vec![scratch];
-    }
-    let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
-            .enumerate()
-            .map(|(chunk_idx, (a_chunk, b_chunk))| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let mut scratch = make_scratch();
-                    for (offset, (slot_a, slot_b)) in
-                        a_chunk.iter_mut().zip(b_chunk.iter_mut()).enumerate()
-                    {
-                        body(start + offset, slot_a, slot_b, &mut scratch);
-                    }
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker thread panicked"))
-            .collect()
-    })
-    .expect("query worker thread panicked")
+    fill_slice_pair_recorded(a, b, policy, &NoopRecorder, "", make_scratch, body)
 }
 
-/// Like [`fill_slice`], but reports one `label` span and one `<label>.items`
+/// [`fill_slice`] reporting one `label` span and one `<label>.items`
 /// histogram sample per worker chunk to `rec`, so a trace shows every
 /// worker's lane and a metrics snapshot shows chunk-size balance.
 ///
-/// With a disabled recorder this is exactly [`fill_slice`] — no clock reads,
-/// no allocation.
+/// With a disabled recorder this reads no clock and allocates nothing.
 pub fn fill_slice_recorded<T, S, M, B>(
     out: &mut [T],
     policy: ExecPolicy,
@@ -208,57 +135,28 @@ where
     M: Fn() -> S + Sync,
     B: Fn(usize, &mut S) -> T + Sync,
 {
-    if !rec.enabled() {
-        return fill_slice(out, policy, make_scratch, body);
-    }
-    let items_label = format!("{label}.items");
+    let items_label = rec.enabled().then(|| format!("{label}.items"));
+    let run = |start: usize, out: &mut [T]| {
+        time_chunk(rec, label, items_label.as_deref(), out.len(), || {
+            let mut scratch = make_scratch();
+            for (offset, slot) in out.iter_mut().enumerate() {
+                *slot = body(start + offset, &mut scratch);
+            }
+            scratch
+        })
+    };
     let n = out.len();
     let workers = policy.workers(n);
     if workers <= 1 {
-        let started = Instant::now();
-        let mut scratch = make_scratch();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = body(i, &mut scratch);
-        }
-        rec.record(&items_label, n as u64);
-        rec.span(label, started, started.elapsed());
-        return vec![scratch];
+        return vec![run(0, out)];
     }
     let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    let items_label = items_label.as_str();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(chunk_idx, out_chunk)| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let started = Instant::now();
-                    let items = out_chunk.len() as u64;
-                    let mut scratch = make_scratch();
-                    for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot = body(start + offset, &mut scratch);
-                    }
-                    rec.record(items_label, items);
-                    rec.span(label, started, started.elapsed());
-                    scratch
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker thread panicked"))
-            .collect()
-    })
-    .expect("query worker thread panicked")
+    spawn_chunks(out.chunks_mut(chunk), chunk, &run)
 }
 
-/// Like [`fill_slice_pair`], but reports one `label` span and one
-/// `<label>.items` histogram sample per worker chunk to `rec`.
-///
-/// With a disabled recorder this is exactly [`fill_slice_pair`].
+/// [`fill_slice_pair`] reporting one `label` span and one `<label>.items`
+/// histogram sample per worker chunk to `rec`, like
+/// [`fill_slice_recorded`].
 ///
 /// # Panics
 /// Panics if `a` and `b` have different lengths.
@@ -278,52 +176,63 @@ where
     M: Fn() -> S + Sync,
     F: Fn(usize, &mut A, &mut B, &mut S) + Sync,
 {
-    if !rec.enabled() {
-        return fill_slice_pair(a, b, policy, make_scratch, body);
-    }
     assert_eq!(
         a.len(),
         b.len(),
         "fill_slice_pair: output slices must have the same length"
     );
-    let items_label = format!("{label}.items");
+    let items_label = rec.enabled().then(|| format!("{label}.items"));
+    let run = |start: usize, (a, b): (&mut [A], &mut [B])| {
+        time_chunk(rec, label, items_label.as_deref(), a.len(), || {
+            let mut scratch = make_scratch();
+            for (offset, (slot_a, slot_b)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
+                body(start + offset, slot_a, slot_b, &mut scratch);
+            }
+            scratch
+        })
+    };
     let n = a.len();
     let workers = policy.workers(n);
     if workers <= 1 {
-        let started = Instant::now();
-        let mut scratch = make_scratch();
-        for (i, (slot_a, slot_b)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            body(i, slot_a, slot_b, &mut scratch);
-        }
-        rec.record(&items_label, n as u64);
-        rec.span(label, started, started.elapsed());
-        return vec![scratch];
+        return vec![run(0, (a, b))];
     }
     let chunk = chunk_len(n, workers);
-    let body = &body;
-    let make_scratch = &make_scratch;
-    let items_label = items_label.as_str();
+    spawn_chunks(a.chunks_mut(chunk).zip(b.chunks_mut(chunk)), chunk, &run)
+}
+
+/// Runs `work` over one chunk of `items` work items. When `items_label` is
+/// set — only if the recorder is enabled — it reports the chunk's `label`
+/// span and its size under `items_label`; otherwise it reads no clock.
+fn time_chunk<S>(
+    rec: &dyn Recorder,
+    label: &str,
+    items_label: Option<&str>,
+    items: usize,
+    work: impl FnOnce() -> S,
+) -> S {
+    let Some(items_label) = items_label else {
+        return work();
+    };
+    let started = Instant::now();
+    let scratch = work();
+    rec.record(items_label, items as u64);
+    rec.span(label, started, started.elapsed());
+    scratch
+}
+
+/// Runs `run(start, chunk)` on one scoped worker thread per chunk of
+/// `chunk` items and returns the results in chunk order; `start` is the
+/// chunk's first item.
+fn spawn_chunks<C, S, R>(chunks: impl Iterator<Item = C>, chunk: usize, run: &R) -> Vec<S>
+where
+    C: Send,
+    S: Send,
+    R: Fn(usize, C) -> S + Sync,
+{
     crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = a
-            .chunks_mut(chunk)
-            .zip(b.chunks_mut(chunk))
+        let handles: Vec<_> = chunks
             .enumerate()
-            .map(|(chunk_idx, (a_chunk, b_chunk))| {
-                let start = chunk_idx * chunk;
-                scope.spawn(move |_| {
-                    let started = Instant::now();
-                    let items = a_chunk.len() as u64;
-                    let mut scratch = make_scratch();
-                    for (offset, (slot_a, slot_b)) in
-                        a_chunk.iter_mut().zip(b_chunk.iter_mut()).enumerate()
-                    {
-                        body(start + offset, slot_a, slot_b, &mut scratch);
-                    }
-                    rec.record(items_label, items);
-                    rec.span(label, started, started.elapsed());
-                    scratch
-                })
-            })
+            .map(|(i, c)| scope.spawn(move |_| run(i * chunk, c)))
             .collect();
         handles
             .into_iter()

@@ -21,6 +21,7 @@ use crate::exec::ExecPolicy;
 use crate::kernel::Kernel;
 use crate::metric::sq_prefilter_bound;
 use crate::point::{Dataset, Point, PointId};
+use dpc_obs::{NoopRecorder, Recorder};
 
 /// Construction-time statistics of an index, reported by every
 /// implementation and consumed by the experiment harness (Tables 3–4 of the
@@ -58,6 +59,56 @@ impl IndexStats {
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, v)| *v)
+    }
+}
+
+/// One DPC query: the cut-off distance plus how to answer it — the density
+/// kernel, the execution policy and where to report telemetry.
+///
+/// [`DpcIndex`] takes every query through this one parameter, so a new
+/// dimension of the query never multiplies the trait's methods. Only `dc`
+/// and `kernel` may change a result: parallelism and recording are pure
+/// side channels, and every index returns bit-identical answers under every
+/// [`ExecPolicy`] and recorder.
+///
+/// ```
+/// use dpc_core::naive_reference::NaiveReferenceIndex;
+/// use dpc_core::{Dataset, DpcIndex, ExecPolicy, Kernel, Query};
+///
+/// let data = Dataset::from_coords(vec![(0.0, 0.0), (0.5, 0.0), (4.0, 4.0)]);
+/// let index = NaiveReferenceIndex::build(&data);
+/// let q = Query {
+///     kernel: Kernel::gaussian(1.0),
+///     exec: ExecPolicy::Threads(2),
+///     ..Query::new(1.0)
+/// };
+/// let rho = index.rho_query(&q).unwrap();
+/// assert_eq!(rho[2], 0.0);
+/// let deltas = index.delta_query(&q, &rho).unwrap();
+/// assert_eq!(deltas.mu[1], Some(0));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Query<'r> {
+    /// The cut-off distance.
+    pub dc: f64,
+    /// The density kernel of the ρ-query (the δ-query ignores it).
+    pub kernel: Kernel,
+    /// How per-point work is spread over worker threads.
+    pub exec: ExecPolicy,
+    /// Where instrumented indexes report per-worker chunk spans and
+    /// traversal counters.
+    pub rec: &'r dyn Recorder,
+}
+
+impl Query<'static> {
+    /// The paper's query: cut-off kernel, sequential, unrecorded.
+    pub fn new(dc: f64) -> Self {
+        Query {
+            dc,
+            kernel: Kernel::Cutoff,
+            exec: ExecPolicy::Sequential,
+            rec: &NoopRecorder,
+        }
     }
 }
 
@@ -99,140 +150,73 @@ pub trait DpcIndex {
         self.len() == 0
     }
 
-    /// Computes the local density of every point for the cut-off `dc`.
+    /// The ρ-query: the local density of every point under `q.kernel`.
     ///
-    /// Returns [`DpcError::InvalidParameter`] when `dc` is not a positive
-    /// finite number.
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>>;
-
-    /// Computes `δ` and `µ` for every point, given per-point densities
-    /// previously obtained from [`rho`](DpcIndex::rho).
+    /// For [`Kernel::Cutoff`], `ρ(p)` counts the other points strictly
+    /// within `q.dc`. For weighted kernels it sums their weights in
+    /// ascending id order and must reproduce [`weighted_rho_scan`] bit for
+    /// bit; an index that cannot enumerate the `dc`-neighbourhood runs that
+    /// scan itself. Results are identical under every [`Query::exec`] and
+    /// with or without [`Query::rec`].
     ///
-    /// `dc` is passed through because approximate indices need it to decide
-    /// whether a truncated neighbourhood is sufficient.
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult>;
+    /// Returns [`DpcError::InvalidParameter`] when `q.dc` is not a positive
+    /// finite number or the kernel is invalid.
+    fn rho_query(&self, q: &Query<'_>) -> Result<Vec<Rho>>;
 
-    /// Runs the ρ-query and δ-query back to back.
+    /// The δ-query: `δ` and `µ` of every point, given per-point densities
+    /// previously obtained from [`rho_query`](DpcIndex::rho_query).
+    ///
+    /// The δ-query is kernel-agnostic: it only consumes the densities
+    /// through the total order. `q.dc` is passed through because
+    /// approximate indices need it to decide whether a truncated
+    /// neighbourhood is sufficient.
+    fn delta_query(&self, q: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult>;
+
+    /// Cut-off ρ-query for `dc`, run sequentially: shorthand for
+    /// [`rho_query`](DpcIndex::rho_query) with [`Query::new`].
+    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
+        self.rho_query(&Query::new(dc))
+    }
+
+    /// Sequential δ-query for `dc`: shorthand for
+    /// [`delta_query`](DpcIndex::delta_query) with [`Query::new`].
+    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
+        self.delta_query(&Query::new(dc), rho)
+    }
+
+    /// Runs the cut-off ρ-query and the δ-query back to back, sequentially.
     fn rho_delta(&self, dc: f64) -> Result<(Vec<Rho>, DeltaResult)> {
-        let rho = self.rho(dc)?;
-        let delta = self.delta(dc, &rho)?;
+        let q = Query::new(dc);
+        let rho = self.rho_query(&q)?;
+        let delta = self.delta_query(&q, &rho)?;
         Ok((rho, delta))
     }
 
-    /// [`rho`](DpcIndex::rho) under an explicit [`ExecPolicy`].
-    ///
-    /// Implementations that support the parallel query engine override this;
-    /// the default ignores the policy and runs the sequential query, so the
-    /// result is identical either way (parallelism is a pure acceleration,
-    /// never a semantic change).
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        let _ = policy;
-        self.rho(dc)
-    }
-
-    /// [`delta`](DpcIndex::delta) under an explicit [`ExecPolicy`].
-    ///
-    /// Same contract as [`rho_with_policy`](DpcIndex::rho_with_policy):
-    /// bit-identical results at every thread count.
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        let _ = policy;
-        self.delta(dc, rho)
-    }
-
-    /// Runs both queries back to back under an explicit [`ExecPolicy`].
-    fn rho_delta_with_policy(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        let rho = self.rho_with_policy(dc, policy)?;
-        let delta = self.delta_with_policy(dc, &rho, policy)?;
-        Ok((rho, delta))
-    }
-
-    /// [`rho`](DpcIndex::rho) under an explicit density [`Kernel`] and
-    /// [`ExecPolicy`].
-    ///
-    /// For [`Kernel::Cutoff`] this **is**
-    /// [`rho_with_policy`](DpcIndex::rho_with_policy) — same code path,
-    /// bit-identical results.
-    /// For weighted kernels the default falls back to the canonical
-    /// brute-force scan ([`weighted_rho_scan`]); indices whose structure can
-    /// enumerate the `dc`-neighbourhood override this with an accelerated
-    /// traversal that must reproduce the scan bit-for-bit (same ascending-id
-    /// summation order; see [`crate::kernel`]).
+    /// [`rho_query`](DpcIndex::rho_query) under `kernel` and `policy`,
+    /// unrecorded. Kept as a forward only because the repository benchmark
+    /// (`dpcbench`), whose sources are frozen, calls it.
     fn rho_kernel_with_policy(
         &self,
         dc: f64,
         kernel: Kernel,
         policy: ExecPolicy,
     ) -> Result<Vec<Rho>> {
-        if kernel.is_cutoff() {
-            return self.rho_with_policy(dc, policy);
-        }
-        weighted_rho_scan(self.dataset(), dc, kernel, policy)
+        self.rho_query(&Query {
+            kernel,
+            exec: policy,
+            ..Query::new(dc)
+        })
     }
 
-    /// [`rho`](DpcIndex::rho) under an explicit density [`Kernel`],
-    /// sequentially.
-    fn rho_kernel(&self, dc: f64, kernel: Kernel) -> Result<Vec<Rho>> {
-        self.rho_kernel_with_policy(dc, kernel, ExecPolicy::Sequential)
-    }
-
-    /// Runs the kernel-weighted ρ-query and the δ-query back to back.
-    ///
-    /// The δ-query is kernel-agnostic: it only consumes the densities through
-    /// the total order, so every index's accelerated δ traversal works
-    /// unchanged on weighted densities.
-    fn rho_delta_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        let rho = self.rho_kernel_with_policy(dc, kernel, policy)?;
-        let delta = self.delta_with_policy(dc, &rho, policy)?;
-        Ok((rho, delta))
-    }
-
-    /// Runs both queries under an explicit [`Kernel`] and [`ExecPolicy`],
-    /// reporting query telemetry to `rec`.
-    ///
-    /// For [`Kernel::Cutoff`] this delegates to
-    /// [`rho_delta_observed`](DpcIndex::rho_delta_observed) — the exact
-    /// pre-existing instrumented path. For weighted kernels the default runs
-    /// the kernel ρ-query (unrecorded fallback unless overridden) followed by
-    /// the policy δ-query; results are bit-identical with or without the
-    /// recorder.
-    fn rho_delta_kernel_observed(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        if kernel.is_cutoff() {
-            return self.rho_delta_observed(dc, policy, rec);
-        }
-        self.rho_delta_kernel_with_policy(dc, kernel, policy)
-    }
-
-    /// Runs both queries under an explicit [`ExecPolicy`], reporting query
-    /// telemetry (per-worker chunk timings, traversal statistics) to `rec`.
-    ///
-    /// The default ignores the recorder and delegates to
-    /// [`rho_delta_with_policy`](DpcIndex::rho_delta_with_policy); indices
-    /// wired into the `dpc-obs` layer override this. The results must be
-    /// bit-identical regardless of the recorder — observability is never a
-    /// semantic change.
-    fn rho_delta_observed(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        let _ = rec;
-        self.rho_delta_with_policy(dc, policy)
+    /// [`delta_query`](DpcIndex::delta_query) under `policy`, unrecorded.
+    /// Kept as a forward only because the repository benchmark
+    /// (`dpcbench`), whose sources are frozen, calls it.
+    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
+        let q = Query {
+            exec: policy,
+            ..Query::new(dc)
+        };
+        self.delta_query(&q, rho)
     }
 
     /// Analytic heap footprint of the index in bytes.
@@ -457,8 +441,8 @@ pub fn eps_neighbors_scan(dataset: &Dataset, center: Point, eps: f64) -> Result<
 /// distances — or the global-peak convention (max distance to any point,
 /// `µ = None`) when no denser point exists.
 ///
-/// This is the shared kernel of the index-free δ scans (`LeanDpc`,
-/// `ParallelDpc`) and of the streaming engine's per-point δ repair. It
+/// This is the shared kernel of `LeanDpc`'s δ scan and of the streaming
+/// engine's per-point δ repair. It
 /// compares squared distances only as a prefilter ([`sq_prefilter_bound`])
 /// and takes the root of every candidate that could tie, so µ is identical
 /// to the tree δ-query's and `NaiveReferenceIndex`'s even where two squared
@@ -507,8 +491,8 @@ pub fn delta_point_scan(
 /// summation order for weighted densities; see [`crate::kernel`]).
 ///
 /// This is the reference implementation every accelerated weighted traversal
-/// must match bit-for-bit, and the fallback behind
-/// [`DpcIndex::rho_kernel_with_policy`]. Parallelism partitions the *output*
+/// must match bit-for-bit, and the weighted branch of
+/// [`DpcIndex::rho_query`] for indexes without one. Parallelism partitions the *output*
 /// points across workers; each point's sum is still accumulated in ascending
 /// id order, so results are bit-identical at every thread count.
 pub fn weighted_rho_scan(
@@ -694,11 +678,11 @@ mod tests {
         fn dataset(&self) -> &Dataset {
             self.0.dataset()
         }
-        fn rho(&self, dc: f64) -> Result<Vec<crate::density::Rho>> {
-            self.0.rho(dc)
+        fn rho_query(&self, q: &Query<'_>) -> Result<Vec<crate::density::Rho>> {
+            self.0.rho_query(q)
         }
-        fn delta(&self, dc: f64, rho: &[crate::density::Rho]) -> Result<DeltaResult> {
-            self.0.delta(dc, rho)
+        fn delta_query(&self, q: &Query<'_>, rho: &[crate::density::Rho]) -> Result<DeltaResult> {
+            self.0.delta_query(q, rho)
         }
         fn memory_bytes(&self) -> usize {
             self.0.memory_bytes()

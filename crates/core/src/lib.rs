@@ -22,9 +22,11 @@
 //! *independent* of the index choice:
 //!
 //! * [`Point`], [`Dataset`], [`BoundingBox`] — the data model,
-//! * [`Metric`] and the concrete metrics ([`Euclidean`], [`Manhattan`], …),
+//! * [`sq_prefilter_bound`] and the rule for where squared distances are
+//!   safe ([`metric`]),
 //! * [`DensityOrder`] — the total order on densities used for `δ`,
-//! * [`DpcIndex`] — the trait implemented by every index,
+//! * [`DpcIndex`] — the trait implemented by every index, asked every
+//!   query through one [`Query`],
 //! * [`ExecPolicy`] and the chunked parallel query engine ([`exec`]),
 //! * [`DecisionGraph`] and [`CenterSelection`] — cluster-centre selection,
 //! * [`assign_clusters`] / [`Clustering`] — the final assignment step,
@@ -82,9 +84,9 @@ pub use delta::{DeltaResult, DensityOrder, TieBreak};
 pub use density::{DensityEstimate, Rho};
 pub use error::{DpcError, Result};
 pub use exec::ExecPolicy;
-pub use index::{BatchOp, DpcIndex, IndexStats, UpdatableIndex};
+pub use index::{BatchOp, DpcIndex, IndexStats, Query, UpdatableIndex};
 pub use kernel::Kernel;
-pub use metric::{sq_prefilter_bound, Chebyshev, Euclidean, Manhattan, Metric, SquaredEuclidean};
+pub use metric::sq_prefilter_bound;
 pub use params::DpcParams;
 pub use pipeline::{cluster_with_index, DpcPipeline, DpcRun};
 pub use point::{Dataset, Point, PointId};

@@ -1,10 +1,8 @@
-//! Distance metrics.
+//! Distances: squared versus true.
 //!
 //! The paper (and the original DPC algorithm) uses the Euclidean distance on
-//! 2-D spatial data. The [`Metric`] trait keeps the rest of the crate generic
-//! enough to experiment with other metrics (e.g. Manhattan for grid-like
-//! mobility data) while every index in the workspace defaults to
-//! [`Euclidean`].
+//! 2-D spatial data, and so does every index in the workspace
+//! ([`Point::distance`](crate::Point::distance)).
 //!
 //! ## Where squared distances are safe — and where they are not
 //!
@@ -17,7 +15,7 @@
 //!   [`validate_dc`](crate::index::validate_dc) rejects degenerate cut-offs
 //!   whose square would underflow f64, keeping the squared comparison
 //!   well-defined); the baselines and the tree traversals
-//!   therefore compare [`Point::distance_squared`] (and
+//!   therefore compare [`Point::distance_squared`](crate::Point::distance_squared) (and
 //!   [`BoundingBox::min_dist_squared`](crate::BoundingBox::min_dist_squared) /
 //!   [`BoundingBox::max_dist_squared`](crate::BoundingBox::max_dist_squared))
 //!   against a precomputed `dc²` and never take a root.
@@ -37,60 +35,7 @@
 //!   other distances. Squared "distance" is not a metric: it violates the
 //!   triangle inequality (`d²(a,c) ≰ d²(a,b) + d²(b,c)`), so any bound that
 //!   offsets, sums or subtracts distances breaks after squaring. The δ-query
-//!   therefore keeps true metric distances throughout, and
-//!   [`SquaredEuclidean`] is documented as a comparison-only pseudo-metric.
-
-use crate::point::Point;
-
-/// A distance function over 2-D points.
-///
-/// Implementations must be *metrics* in the mathematical sense for the index
-/// pruning rules to remain correct: non-negative, symmetric, zero only on
-/// identical inputs, and satisfying the triangle inequality.
-/// [`SquaredEuclidean`] deliberately violates the triangle inequality and is
-/// documented as such; it is only meant for nearest-neighbour style
-/// comparisons where monotonicity suffices.
-pub trait Metric: Send + Sync {
-    /// Distance between two points.
-    fn distance(&self, a: &Point, b: &Point) -> f64;
-
-    /// Human-readable name of the metric (used in reports).
-    fn name(&self) -> &'static str;
-}
-
-/// The standard Euclidean (L2) distance. This is the metric used throughout
-/// the paper's evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Euclidean;
-
-impl Metric for Euclidean {
-    #[inline]
-    fn distance(&self, a: &Point, b: &Point) -> f64 {
-        a.distance(b)
-    }
-
-    fn name(&self) -> &'static str {
-        "euclidean"
-    }
-}
-
-/// Squared Euclidean distance.
-///
-/// Not a metric (no triangle inequality); only useful where distances are
-/// compared against each other or against a squared threshold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SquaredEuclidean;
-
-impl Metric for SquaredEuclidean {
-    #[inline]
-    fn distance(&self, a: &Point, b: &Point) -> f64 {
-        a.distance_squared(b)
-    }
-
-    fn name(&self) -> &'static str {
-        "squared-euclidean"
-    }
-}
+//!   therefore keeps true metric distances throughout.
 
 /// A squared-distance bound for prefiltering a `(distance, id)` argmin: every
 /// `d2` above `sq_prefilter_bound(best)` has `d2.sqrt() > best`, so such a
@@ -107,72 +52,9 @@ pub fn sq_prefilter_bound(best: f64) -> f64 {
     best * best * (1.0 + 16.0 * f64::EPSILON)
 }
 
-/// Manhattan (L1) distance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Manhattan;
-
-impl Metric for Manhattan {
-    #[inline]
-    fn distance(&self, a: &Point, b: &Point) -> f64 {
-        (a.x - b.x).abs() + (a.y - b.y).abs()
-    }
-
-    fn name(&self) -> &'static str {
-        "manhattan"
-    }
-}
-
-/// Chebyshev (L∞) distance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Chebyshev;
-
-impl Metric for Chebyshev {
-    #[inline]
-    fn distance(&self, a: &Point, b: &Point) -> f64 {
-        (a.x - b.x).abs().max((a.y - b.y).abs())
-    }
-
-    fn name(&self) -> &'static str {
-        "chebyshev"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const A: Point = Point::new(1.0, 2.0);
-    const B: Point = Point::new(4.0, 6.0);
-
-    #[test]
-    fn euclidean_matches_point_distance() {
-        assert_eq!(Euclidean.distance(&A, &B), 5.0);
-        assert_eq!(Euclidean.name(), "euclidean");
-    }
-
-    #[test]
-    fn squared_euclidean_is_square_of_euclidean() {
-        assert_eq!(SquaredEuclidean.distance(&A, &B), 25.0);
-    }
-
-    #[test]
-    fn manhattan_sums_axis_distances() {
-        assert_eq!(Manhattan.distance(&A, &B), 7.0);
-    }
-
-    #[test]
-    fn chebyshev_takes_max_axis_distance() {
-        assert_eq!(Chebyshev.distance(&A, &B), 4.0);
-    }
-
-    #[test]
-    fn all_metrics_are_symmetric_and_zero_on_self() {
-        let metrics: [&dyn Metric; 4] = [&Euclidean, &SquaredEuclidean, &Manhattan, &Chebyshev];
-        for m in metrics {
-            assert_eq!(m.distance(&A, &B), m.distance(&B, &A), "{}", m.name());
-            assert_eq!(m.distance(&A, &A), 0.0, "{}", m.name());
-        }
-    }
 
     #[test]
     fn sq_prefilter_bound_never_rejects_a_root_that_ties_or_beats_best() {
@@ -204,14 +86,5 @@ mod tests {
         }
         assert_eq!(sq_prefilter_bound(f64::INFINITY), f64::INFINITY);
         assert_eq!(sq_prefilter_bound(1e200), f64::INFINITY);
-    }
-
-    #[test]
-    fn lp_metric_ordering_on_same_pair() {
-        // For any pair: chebyshev <= euclidean <= manhattan.
-        let c = Chebyshev.distance(&A, &B);
-        let e = Euclidean.distance(&A, &B);
-        let m = Manhattan.distance(&A, &B);
-        assert!(c <= e && e <= m);
     }
 }

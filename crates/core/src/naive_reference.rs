@@ -13,7 +13,8 @@ use crate::delta::{DeltaResult, DensityOrder, TieBreak};
 use crate::density::Rho;
 use crate::error::Result;
 use crate::index::{
-    eps_neighbors_scan, validate_dc, validate_rho_len, DpcIndex, IndexStats, UpdatableIndex,
+    eps_neighbors_scan, validate_dc, validate_rho_len, weighted_rho_scan, DpcIndex, IndexStats,
+    Query, UpdatableIndex,
 };
 use crate::point::{Dataset, Point, PointId};
 use crate::stats::Timer;
@@ -60,7 +61,11 @@ impl DpcIndex for NaiveReferenceIndex {
         self.dataset.len()
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
+    fn rho_query(&self, q: &Query<'_>) -> Result<Vec<Rho>> {
+        if !q.kernel.is_cutoff() {
+            return weighted_rho_scan(&self.dataset, q.dc, q.kernel, q.exec);
+        }
+        let dc = q.dc;
         validate_dc(dc)?;
         let pts = self.dataset.points();
         let n = pts.len();
@@ -76,8 +81,8 @@ impl DpcIndex for NaiveReferenceIndex {
         Ok(rho)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        validate_dc(dc)?;
+    fn delta_query(&self, q: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        validate_dc(q.dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let pts = self.dataset.points();
         let n = pts.len();

@@ -5,6 +5,7 @@ use crate::decision::CenterSelection;
 use crate::delta::TieBreak;
 use crate::error::Result;
 use crate::exec::ExecPolicy;
+use crate::index::Query;
 use crate::kernel::Kernel;
 
 /// All parameters needed to turn an index's ρ/δ answers into a clustering.
@@ -78,6 +79,16 @@ impl DpcParams {
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
+    }
+
+    /// The unrecorded [`Query`] these parameters ask every index: `dc`,
+    /// `kernel` and `exec`.
+    pub fn query(&self) -> Query<'static> {
+        Query {
+            kernel: self.kernel,
+            exec: self.exec,
+            ..Query::new(self.dc)
+        }
     }
 
     /// Validates the parameters: `dc` must pass the same checks every index

@@ -82,13 +82,14 @@ impl DpcPipeline {
     pub fn run<I: DpcIndex + ?Sized>(&self, index: &I) -> Result<DpcRun> {
         self.params.validate()?;
         let dc = self.params.dc;
+        let q = self.params.query();
 
         let timer = Timer::start();
-        let rho = index.rho_kernel_with_policy(dc, self.params.kernel, self.params.exec)?;
+        let rho = index.rho_query(&q)?;
         let rho_time = timer.elapsed();
 
         let timer = Timer::start();
-        let deltas = index.delta_with_policy(dc, &rho, self.params.exec)?;
+        let deltas = index.delta_query(&q, &rho)?;
         let delta_time = timer.elapsed();
 
         let timer = Timer::start();

@@ -156,7 +156,7 @@ impl KnnDpc {
     ) -> Result<(Vec<Rho>, DeltaResult)> {
         let ranks = self.density_ranks_with_policy(k, policy)?;
         let order = DensityOrder::with_tie_break(&ranks, self.tie);
-        let deltas = self.lists.delta_by_scan_policy(&order, policy);
+        let (deltas, _) = self.lists.delta_by_scan(&order, policy);
         Ok((ranks, deltas))
     }
 

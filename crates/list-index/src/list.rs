@@ -7,9 +7,9 @@
 
 use std::time::Duration;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
+use dpc_core::index::{validate_dc, validate_rho_len, weighted_rho_scan};
 use dpc_core::{
-    exec, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Result, Rho,
+    exec, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, IndexStats, Query, Result, Rho,
     TieBreak, Timer,
 };
 
@@ -87,7 +87,7 @@ impl ListIndex {
         validate_dc(dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan_with_probes(&order))
+        Ok(self.lists.delta_by_scan(&order, ExecPolicy::Sequential))
     }
 }
 
@@ -104,31 +104,26 @@ impl DpcIndex for ListIndex {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_policy(dc, ExecPolicy::Sequential)
-    }
-
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_probes(dc, rho).map(|(result, _)| result)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        validate_dc(dc)?;
+    fn rho_query(&self, q: &Query<'_>) -> Result<Vec<Rho>> {
+        if !q.kernel.is_cutoff() {
+            return weighted_rho_scan(&self.dataset, q.dc, q.kernel, q.exec);
+        }
+        validate_dc(q.dc)?;
         let mut rho = vec![0 as Rho; self.dataset.len()];
         exec::fill_slice(
             &mut rho,
-            policy,
+            q.exec,
             || (),
-            |p, ()| self.lists.count_within(p, dc) as Rho,
+            |p, ()| self.lists.count_within(p, q.dc) as Rho,
         );
         Ok(rho)
     }
 
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        validate_dc(dc)?;
+    fn delta_query(&self, q: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        validate_dc(q.dc)?;
         validate_rho_len(rho, self.dataset.len())?;
         let order = DensityOrder::with_tie_break(rho, self.tie);
-        Ok(self.lists.delta_by_scan_policy(&order, policy))
+        Ok(self.lists.delta_by_scan(&order, q.exec).0)
     }
 
     fn memory_bytes(&self) -> usize {

@@ -169,32 +169,14 @@ impl NeighborLists {
     /// * With RN-Lists the scan can also fail for a point whose dependent
     ///   neighbour lies beyond `τ`; such points get the sentinel
     ///   `δ = +∞`, `µ = None` ("set to a large value" in §3.3).
-    pub fn delta_by_scan(&self, order: &DensityOrder<'_>) -> DeltaResult {
-        self.delta_by_scan_with_probes(order).0
-    }
-
-    /// Like [`delta_by_scan`](Self::delta_by_scan) but also returns the total
-    /// number of list entries probed, the quantity behind the paper's remark
-    /// that *"less than 1% of the total number of objects were probed"*.
-    pub fn delta_by_scan_with_probes(&self, order: &DensityOrder<'_>) -> (DeltaResult, u64) {
-        self.delta_by_scan_with_probes_policy(order, ExecPolicy::Sequential)
-    }
-
-    /// [`delta_by_scan`](Self::delta_by_scan) under an explicit execution
-    /// policy (bit-identical results at every thread count).
-    pub fn delta_by_scan_policy(
-        &self,
-        order: &DensityOrder<'_>,
-        policy: ExecPolicy,
-    ) -> DeltaResult {
-        self.delta_by_scan_with_probes_policy(order, policy).0
-    }
-
-    /// [`delta_by_scan_with_probes`](Self::delta_by_scan_with_probes) under
-    /// an explicit execution policy. The per-point scans are partitioned
-    /// across worker threads; each worker counts its own probes and the
-    /// counters are summed after the join.
-    pub fn delta_by_scan_with_probes_policy(
+    ///
+    /// Also returns the total number of list entries probed, the quantity
+    /// behind the paper's remark that *"less than 1% of the total number of
+    /// objects were probed"*. The per-point scans are partitioned across the
+    /// policy's worker threads; each worker counts its own probes and the
+    /// counters are summed after the join, so results and probe count are
+    /// identical at every thread count.
+    pub fn delta_by_scan(
         &self,
         order: &DensityOrder<'_>,
         policy: ExecPolicy,
@@ -312,10 +294,9 @@ mod tests {
             let lists = NeighborLists::build_serial(&data, tau);
             let rho: Vec<f64> = (0..data.len() as u32).map(|i| f64::from(i % 7)).collect();
             let order = DensityOrder::new(&rho);
-            let (seq, seq_probes) = lists.delta_by_scan_with_probes(&order);
+            let (seq, seq_probes) = lists.delta_by_scan(&order, ExecPolicy::Sequential);
             for threads in [1usize, 2, 3, 7] {
-                let (par, par_probes) =
-                    lists.delta_by_scan_with_probes_policy(&order, ExecPolicy::Threads(threads));
+                let (par, par_probes) = lists.delta_by_scan(&order, ExecPolicy::Threads(threads));
                 assert_eq!(par.delta, seq.delta, "threads = {threads}, tau = {tau:?}");
                 assert_eq!(par.mu, seq.mu, "threads = {threads}, tau = {tau:?}");
                 assert_eq!(par_probes, seq_probes, "threads = {threads}, tau = {tau:?}");

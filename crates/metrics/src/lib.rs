@@ -21,11 +21,9 @@ pub mod nmi;
 pub mod pair_counting;
 pub mod rand_index;
 pub mod report;
-pub mod timing;
 
 pub use contingency::ContingencyTable;
 pub use nmi::normalized_mutual_information;
 pub use pair_counting::{pair_counting_scores, pair_counting_scores_for, PairCounts, PairScores};
 pub use rand_index::adjusted_rand_index;
 pub use report::ResultTable;
-pub use timing::{measure_median, measure_once};

@@ -2,8 +2,7 @@
 //!
 //! This crate is deliberately **zero-dependency**: it provides the one
 //! [`Recorder`] trait every other crate emits into, plus two concrete sinks
-//! and the shared wall-clock timing helpers that used to be duplicated in
-//! `dpc_core::stats` and `dpc_metrics::timing`.
+//! and the workspace's shared wall-clock timing helpers.
 //!
 //! # Design
 //!

@@ -1,8 +1,7 @@
 //! Shared wall-clock timing helpers.
 //!
-//! These used to exist twice — a `Timer` in `dpc_core::stats` and the
-//! `measure_*` helpers in `dpc_metrics::timing` — and now live here once,
-//! re-exported from both old paths.
+//! These live here once; `dpc_core` re-exports [`Timer`] and
+//! [`format_duration`] from `dpc_core::stats`.
 
 use std::time::{Duration, Instant};
 

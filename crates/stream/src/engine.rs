@@ -67,7 +67,7 @@ use std::time::Instant;
 use dpc_core::index::delta_point_scan;
 use dpc_core::{
     assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
-    DpcParams, Kernel, Point, PointId, Result, Rho, StateSnapshot, UpdatableIndex,
+    DpcParams, Kernel, Point, PointId, Query, Result, Rho, StateSnapshot, UpdatableIndex,
 };
 use dpc_obs::{span, AttrValue, SharedRecorder};
 
@@ -486,10 +486,10 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let (rho, deltas, delta_started) = if n == 0 {
             (Vec::new(), DeltaResult::unset(0), seeding)
         } else {
-            let (dc, exec) = (params.dpc.dc, params.dpc.exec);
-            let rho = index.rho_kernel_with_policy(dc, params.dpc.kernel, exec)?;
+            let q = params.dpc.query();
+            let rho = index.rho_query(&q)?;
             let delta_started = Instant::now();
-            let deltas = index.delta_with_policy(dc, &rho, exec)?;
+            let deltas = index.delta_query(&q, &rho)?;
             (rho, deltas, delta_started)
         };
         let per_point = |t: Instant| t.elapsed().as_micros() as f64 / n.max(1) as f64;
@@ -835,11 +835,11 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             for r in &mut self.rho {
                 *r *= lambda;
             }
-            self.deltas = self.index.delta_with_policy(
-                self.params.dpc.dc,
-                &self.rho,
-                self.params.dpc.exec,
-            )?;
+            let q = Query {
+                rec: &*rec,
+                ..self.params.dpc.query()
+            };
+            self.deltas = self.index.delta_query(&q, &self.rho)?;
             self.peak =
                 DensityOrder::with_tie_break(&self.rho, self.params.dpc.tie_break).global_peak();
         }
@@ -1278,9 +1278,11 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         // and the epoch always re-ranks in full. The full re-rank is the
         // index's own δ-query, the one the cold batch pipeline runs.
         let mode = if lambda != 1.0 || self.needs_fallback(scratch.invalidated.len(), n) {
-            self.deltas = self
-                .index
-                .delta_with_policy(dc, &self.rho, self.params.dpc.exec)?;
+            let q = Query {
+                rec: &*rec,
+                ..self.params.dpc.query()
+            };
+            self.deltas = self.index.delta_query(&q, &self.rho)?;
             EpochMode::Fallback
         } else {
             let order = DensityOrder::with_tie_break(&self.rho, tie);
@@ -1365,12 +1367,15 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         drop(apply_span);
 
         // Phases 3′+4′ — fresh batch ρ/δ/µ over the rebuilt index and a
-        // fresh global peak; nothing to repair. The observed query also
-        // reports per-worker chunk spans and traversal counters.
+        // fresh global peak; nothing to repair. The query also reports
+        // per-worker chunk spans and traversal counters to the recorder.
         let batch_query_span = span(&rec, "stream.phase.batch_query");
-        let (rho, deltas) =
-            self.index
-                .rho_delta_observed(self.params.dpc.dc, self.params.dpc.exec, &*rec)?;
+        let q = Query {
+            rec: &*rec,
+            ..self.params.dpc.query()
+        };
+        let rho = self.index.rho_query(&q)?;
+        let deltas = self.index.delta_query(&q, &rho)?;
         drop(batch_query_span);
         self.rho = rho;
         self.deltas = deltas;

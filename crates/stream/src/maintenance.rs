@@ -16,7 +16,7 @@
 //!
 //! When `F` is too large the engine skips both and runs the index's own
 //! δ-query over the whole window instead
-//! ([`DpcIndex::delta_with_policy`](dpc_core::DpcIndex::delta_with_policy)).
+//! ([`DpcIndex::delta_query`](dpc_core::DpcIndex::delta_query)).
 //!
 //! ## Tie-breaking
 //!

@@ -44,7 +44,7 @@ pub use grid::{GridConfig, GridIndex};
 pub use kdtree::{KdTree, KdTreeConfig};
 pub use quadtree::{Quadtree, QuadtreeConfig};
 pub use query::{
-    delta_query_recorded, eps_query, rho_delta_query_recorded, rho_query_recorded,
-    weighted_rho_query_with_policy, DeltaQueryConfig, QueryStats,
+    delta_query_recorded, eps_query, rho_query_recorded, weighted_rho_query_recorded,
+    DeltaQueryConfig, QueryStats,
 };
 pub use rtree::{RTree, RTreeConfig};

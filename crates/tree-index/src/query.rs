@@ -20,22 +20,31 @@
 //!   support.
 //!
 //! Both queries run per point with no data dependency between points, so
-//! they parallelise over the chunked engine of [`dpc_core::exec`]: pass an
-//! [`ExecPolicy`] to [`rho_query_with_policy`] / [`delta_query_with_policy`]
-//! and each worker thread gets its own [`QueryScratch`] — a reusable node
-//! stack, best-first heap and [`QueryStats`] — merged deterministically after
-//! the join. Results are bit-identical at every thread count.
+//! they parallelise over the chunked engine of [`dpc_core::exec`]: under an
+//! [`ExecPolicy`] each worker thread gets its own [`QueryScratch`] — a
+//! reusable node stack, best-first heap and [`QueryStats`] — merged
+//! deterministically after the join. Results are bit-identical at every
+//! thread count.
+//!
+//! There is one whole-dataset function per query shape —
+//! [`rho_query_recorded`], [`weighted_rho_query_recorded`] and
+//! [`delta_query_recorded`] — each returning its [`QueryStats`] and
+//! reporting per-worker chunk spans and the statistics to a recorder (pass
+//! [`dpc_obs::NoopRecorder`] for none). Every tree index's [`DpcIndex`]
+//! queries wrap them, so a [`dpc_core::Query`]'s recorder receives the
+//! traversal statistics and chunk spans.
 //!
 //! Both pruning rules can be disabled individually through
 //! [`DeltaQueryConfig`] — that is what the pruning-ablation benchmark
-//! measures — and both queries can report [`QueryStats`].
+//! measures.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::{
-    exec, sq_prefilter_bound, Dataset, DeltaResult, DensityOrder, ExecPolicy, Kernel, Point,
-    PointId, Rho, TieBreak,
+    exec, sq_prefilter_bound, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, Kernel,
+    Point, PointId, Query, Result, Rho,
 };
 
 use crate::common::{NodeId, SpatialPartition};
@@ -150,49 +159,14 @@ impl DeltaQueryConfig {
     }
 }
 
-/// Computes ρ for every point of the dataset.
-pub fn rho_query<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-) -> Vec<Rho> {
-    rho_query_with_stats(tree, dataset, dc).0
-}
-
-/// [`rho_query`] that also returns aggregate traversal statistics.
-pub fn rho_query_with_stats<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-) -> (Vec<Rho>, QueryStats) {
-    rho_query_with_policy(tree, dataset, dc, ExecPolicy::Sequential)
-}
-
-/// [`rho_query`] under an explicit execution policy: the per-point queries
-/// are partitioned across worker threads, each with its own [`QueryScratch`],
-/// and the per-worker statistics are merged in chunk order after the join.
-/// Results are bit-identical to the sequential query.
-pub fn rho_query_with_policy<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-    policy: ExecPolicy,
-) -> (Vec<Rho>, QueryStats) {
-    let mut rho = vec![0 as Rho; dataset.len()];
-    let scratches = exec::fill_slice(&mut rho, policy, QueryScratch::new, |p, scratch| {
-        rho_one(tree, dataset, p, dc, scratch)
-    });
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    (rho, stats)
-}
-
-/// [`rho_query_with_policy`] reporting telemetry to `rec`: one
-/// `query.rho.chunk` span per worker plus the aggregated [`QueryStats`]
-/// counters under the `query.rho` prefix. Results are bit-identical to the
-/// unrecorded query.
+/// Computes the cut-off ρ of every point under an execution policy,
+/// reporting one `query.rho.chunk` span per worker plus the aggregated
+/// [`QueryStats`] counters under the `query.rho` prefix to `rec`.
+///
+/// The per-point queries are partitioned across worker threads, each with
+/// its own [`QueryScratch`], and the per-worker statistics are merged in
+/// chunk order after the join. Results are bit-identical at every thread
+/// count and with or without a recorder.
 pub fn rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
@@ -209,12 +183,22 @@ pub fn rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
         QueryScratch::new,
         |p, scratch| rho_one(tree, dataset, p, dc, scratch),
     );
+    (rho, merged_stats(&scratches, rec, "query.rho"))
+}
+
+/// Merges the per-worker statistics in chunk order and publishes the total
+/// under `prefix`.
+fn merged_stats(
+    scratches: &[QueryScratch],
+    rec: &dyn dpc_obs::Recorder,
+    prefix: &str,
+) -> QueryStats {
     let mut stats = QueryStats::default();
-    for s in &scratches {
+    for s in scratches {
         stats.merge(&s.stats);
     }
-    stats.publish(rec, "query.rho");
-    (rho, stats)
+    stats.publish(rec, prefix);
+    stats
 }
 
 /// ρ of a single point: counts points strictly within `dc`, excluding the
@@ -265,31 +249,32 @@ pub fn rho_one<T: SpatialPartition + ?Sized>(
     (count.saturating_sub(1)) as Rho
 }
 
-/// Computes kernel-weighted ρ for every point under an explicit execution
-/// policy — the tree-accelerated implementation behind every tree index's
-/// [`dpc_core::DpcIndex::rho_kernel_with_policy`] override for non-cutoff
-/// kernels.
+/// Computes kernel-weighted ρ for every point under an execution policy —
+/// the tree-accelerated weighted branch of every tree index's
+/// [`DpcIndex::rho_query`] — reporting to `rec` like [`rho_query_recorded`].
 ///
 /// Bit-identical to [`dpc_core::index::weighted_rho_scan`] at every thread
 /// count: each point's mass is summed in ascending neighbour-id order with
 /// the same `dx² + dy²` distance arithmetic, so the traversal only changes
 /// *which* pairs are examined, never the value produced.
-pub fn weighted_rho_query_with_policy<T: SpatialPartition + Sync + ?Sized>(
+pub fn weighted_rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
     dc: f64,
     kernel: Kernel,
     policy: ExecPolicy,
+    rec: &dyn dpc_obs::Recorder,
 ) -> (Vec<Rho>, QueryStats) {
     let mut rho = vec![0.0 as Rho; dataset.len()];
-    let scratches = exec::fill_slice(&mut rho, policy, QueryScratch::new, |p, scratch| {
-        weighted_rho_one(tree, dataset, p, dc, kernel, scratch)
-    });
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    (rho, stats)
+    let scratches = exec::fill_slice_recorded(
+        &mut rho,
+        policy,
+        rec,
+        "query.rho.chunk",
+        QueryScratch::new,
+        |p, scratch| weighted_rho_one(tree, dataset, p, dc, kernel, scratch),
+    );
+    (rho, merged_stats(&scratches, rec, "query.rho"))
 }
 
 /// Kernel-weighted ρ of a single point: sums `w(d)` over all points strictly
@@ -420,66 +405,13 @@ pub fn subtree_max_density<T: SpatialPartition + ?Sized>(tree: &T, rho: &[Rho]) 
     maxrho
 }
 
-/// Computes δ and µ for every point of the dataset.
+/// Computes δ and µ of every point under an execution policy, reporting
+/// one `query.delta.chunk` span per worker plus the aggregated
+/// [`QueryStats`] counters under the `query.delta` prefix to `rec`; see
+/// [`rho_query_recorded`] for the parallel contract.
 ///
 /// `maxrho` must come from [`subtree_max_density`] for the same `rho` the
 /// `order` was built from.
-pub fn delta_query<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    config: &DeltaQueryConfig,
-) -> DeltaResult {
-    delta_query_with_stats(tree, dataset, order, maxrho, config).0
-}
-
-/// [`delta_query`] that also returns aggregate traversal statistics.
-pub fn delta_query_with_stats<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    config: &DeltaQueryConfig,
-) -> (DeltaResult, QueryStats) {
-    delta_query_with_policy(tree, dataset, order, maxrho, config, ExecPolicy::Sequential)
-}
-
-/// [`delta_query`] under an explicit execution policy; see
-/// [`rho_query_with_policy`] for the parallel contract.
-pub fn delta_query_with_policy<T: SpatialPartition + Sync + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    config: &DeltaQueryConfig,
-    policy: ExecPolicy,
-) -> (DeltaResult, QueryStats) {
-    let n = dataset.len();
-    debug_assert_eq!(order.len(), n);
-    let mut result = DeltaResult::unset(n);
-    let scratches = exec::fill_slice_pair(
-        &mut result.delta,
-        &mut result.mu,
-        policy,
-        QueryScratch::new,
-        |p, delta_slot, mu_slot, scratch| {
-            let (delta, mu) = delta_one(tree, dataset, order, maxrho, p, config, scratch);
-            *delta_slot = delta;
-            *mu_slot = mu;
-        },
-    );
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    (result, stats)
-}
-
-/// [`delta_query_with_policy`] reporting telemetry to `rec`: one
-/// `query.delta.chunk` span per worker plus the aggregated [`QueryStats`]
-/// counters under the `query.delta` prefix. Results are bit-identical to the
-/// unrecorded query.
 pub fn delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
@@ -500,38 +432,62 @@ pub fn delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
         "query.delta.chunk",
         QueryScratch::new,
         |p, delta_slot, mu_slot, scratch| {
-            let (delta, mu) = delta_one(tree, dataset, order, maxrho, p, config, scratch);
-            *delta_slot = delta;
-            *mu_slot = mu;
+            (*delta_slot, *mu_slot) = delta_one(tree, dataset, order, maxrho, p, config, scratch);
         },
     );
-    let mut stats = QueryStats::default();
-    for s in &scratches {
-        stats.merge(&s.stats);
-    }
-    stats.publish(rec, "query.delta");
-    (result, stats)
+    (result, merged_stats(&scratches, rec, "query.delta"))
 }
 
-/// The full ρ→δ query pipeline with telemetry: recorded ρ-query, density
-/// order, `maxrho` annotation, recorded δ-query. This is the single
-/// implementation behind every tree index's
-/// [`dpc_core::DpcIndex::rho_delta_observed`] override.
-#[allow(clippy::too_many_arguments)]
-pub fn rho_delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
+/// A tree index's [`DpcIndex::rho_query`] with its traversal statistics:
+/// the pruned cut-off traversal, or the weighted one for other kernels,
+/// under `q.exec` and reporting to `q.rec`.
+pub(crate) fn tree_rho_query<T: SpatialPartition + DpcIndex + Sync + ?Sized>(
     tree: &T,
-    dataset: &Dataset,
-    dc: f64,
-    tie_break: TieBreak,
+    q: &Query<'_>,
+) -> Result<(Vec<Rho>, QueryStats)> {
+    validate_dc(q.dc)?;
+    if q.kernel.is_cutoff() {
+        return Ok(rho_query_recorded(
+            tree,
+            tree.dataset(),
+            q.dc,
+            q.exec,
+            q.rec,
+        ));
+    }
+    q.kernel.validate()?;
+    Ok(weighted_rho_query_recorded(
+        tree,
+        tree.dataset(),
+        q.dc,
+        q.kernel,
+        q.exec,
+        q.rec,
+    ))
+}
+
+/// A tree index's [`DpcIndex::delta_query`] under the pruning `config`,
+/// with its traversal statistics: density order, `maxrho` annotation and
+/// the best-first δ traversal under `q.exec`, reporting to `q.rec`.
+pub(crate) fn tree_delta_query<T: SpatialPartition + DpcIndex + Sync + ?Sized>(
+    tree: &T,
+    q: &Query<'_>,
+    rho: &[Rho],
     config: &DeltaQueryConfig,
-    policy: ExecPolicy,
-    rec: &dyn dpc_obs::Recorder,
-) -> (Vec<Rho>, DeltaResult) {
-    let (rho, _) = rho_query_recorded(tree, dataset, dc, policy, rec);
-    let order = DensityOrder::with_tie_break(&rho, tie_break);
-    let maxrho = subtree_max_density(tree, &rho);
-    let (delta, _) = delta_query_recorded(tree, dataset, &order, &maxrho, config, policy, rec);
-    (rho, delta)
+) -> Result<(DeltaResult, QueryStats)> {
+    validate_dc(q.dc)?;
+    validate_rho_len(rho, tree.len())?;
+    let order = DensityOrder::with_tie_break(rho, tree.tie_break());
+    let maxrho = subtree_max_density(tree, rho);
+    Ok(delta_query_recorded(
+        tree,
+        tree.dataset(),
+        &order,
+        &maxrho,
+        config,
+        q.exec,
+        q.rec,
+    ))
 }
 
 /// Ordered f64 wrapper so `BinaryHeap` can prioritise by `dmin`.
@@ -660,6 +616,24 @@ mod tests {
     use dpc_core::naive_reference::NaiveReferenceIndex;
     use dpc_core::DpcIndex;
     use dpc_datasets::generators::{query as query_dataset, s1};
+    use dpc_obs::NoopRecorder;
+
+    /// Sequential, unrecorded ρ-query over a bare partition.
+    fn rho_seq(part: &FlatPartition, data: &Dataset, dc: f64) -> (Vec<Rho>, QueryStats) {
+        rho_query_recorded(part, data, dc, ExecPolicy::Sequential, &NoopRecorder)
+    }
+
+    /// Sequential, unrecorded δ-query over a bare partition.
+    fn delta_seq(
+        part: &FlatPartition,
+        data: &Dataset,
+        order: &DensityOrder<'_>,
+        maxrho: &[Rho],
+        config: &DeltaQueryConfig,
+    ) -> (DeltaResult, QueryStats) {
+        let seq = ExecPolicy::Sequential;
+        delta_query_recorded(part, data, order, maxrho, config, seq, &NoopRecorder)
+    }
 
     fn reference(data: &Dataset, dc: f64) -> (Vec<Rho>, DeltaResult) {
         NaiveReferenceIndex::build(data).rho_delta(dc).unwrap()
@@ -672,11 +646,12 @@ mod tests {
         check_partition_invariants(&part, &data);
         for dc in [10_000.0, 60_000.0, 400_000.0] {
             let (ref_rho, ref_delta) = reference(&data, dc);
-            let rho = rho_query(&part, &data, dc);
+            let (rho, _) = rho_seq(&part, &data, dc);
             assert_eq!(rho, ref_rho, "dc = {dc}");
             let order = DensityOrder::new(&rho);
             let maxrho = subtree_max_density(&part, &rho);
-            let deltas = delta_query(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
+            let (deltas, _) =
+                delta_seq(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
             assert_eq!(deltas.mu, ref_delta.mu, "dc = {dc}");
             for p in 0..data.len() {
                 assert!((deltas.delta(p) - ref_delta.delta(p)).abs() < 1e-9);
@@ -689,19 +664,25 @@ mod tests {
         let data = query_dataset(3, 0.004).into_dataset(); // 200 points
         let part = FlatPartition::strips(&data, 0.05);
         let dc = 0.02;
-        let (seq_rho, seq_rho_stats) = rho_query_with_stats(&part, &data, dc);
+        let (seq_rho, seq_rho_stats) = rho_seq(&part, &data, dc);
         let order = DensityOrder::new(&seq_rho);
         let maxrho = subtree_max_density(&part, &seq_rho);
         let config = DeltaQueryConfig::default();
-        let (seq_delta, seq_delta_stats) =
-            delta_query_with_stats(&part, &data, &order, &maxrho, &config);
+        let (seq_delta, seq_delta_stats) = delta_seq(&part, &data, &order, &maxrho, &config);
         for threads in [1usize, 2, 3, 7, 64] {
             let policy = ExecPolicy::Threads(threads);
-            let (rho, rho_stats) = rho_query_with_policy(&part, &data, dc, policy);
+            let (rho, rho_stats) = rho_query_recorded(&part, &data, dc, policy, &NoopRecorder);
             assert_eq!(rho, seq_rho, "threads = {threads}");
             assert_eq!(rho_stats, seq_rho_stats, "threads = {threads}");
-            let (delta, delta_stats) =
-                delta_query_with_policy(&part, &data, &order, &maxrho, &config, policy);
+            let (delta, delta_stats) = delta_query_recorded(
+                &part,
+                &data,
+                &order,
+                &maxrho,
+                &config,
+                policy,
+                &NoopRecorder,
+            );
             assert_eq!(delta.delta, seq_delta.delta, "threads = {threads}");
             assert_eq!(delta.mu, seq_delta.mu, "threads = {threads}");
             // Distance pruning's "rest of the heap" counter depends on how
@@ -716,13 +697,13 @@ mod tests {
         let data = query_dataset(13, 0.006).into_dataset(); // 300 points
         let part = FlatPartition::strips(&data, 0.07);
         let dc = 0.02;
-        let rho = rho_query(&part, &data, dc);
+        let (rho, _) = rho_seq(&part, &data, dc);
         let order = DensityOrder::new(&rho);
         let maxrho = subtree_max_density(&part, &rho);
 
         let (with_pruning, stats_pruned) =
-            delta_query_with_stats(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
-        let (without_pruning, stats_full) = delta_query_with_stats(
+            delta_seq(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
+        let (without_pruning, stats_full) = delta_seq(
             &part,
             &data,
             &order,
@@ -885,17 +866,19 @@ mod tests {
             let expected =
                 dpc_core::index::weighted_rho_scan(&data, dc, kernel, ExecPolicy::Sequential)
                     .unwrap();
+            let seq_policy = ExecPolicy::Sequential;
             let (seq, stats) =
-                weighted_rho_query_with_policy(&part, &data, dc, kernel, ExecPolicy::Sequential);
+                weighted_rho_query_recorded(&part, &data, dc, kernel, seq_policy, &NoopRecorder);
             assert_eq!(seq, expected, "{}", kernel.name());
             assert!(stats.nodes_discarded > 0, "traversal must prune");
             for threads in [2usize, 7] {
-                let (par, _) = weighted_rho_query_with_policy(
+                let (par, _) = weighted_rho_query_recorded(
                     &part,
                     &data,
                     dc,
                     kernel,
                     ExecPolicy::Threads(threads),
+                    &NoopRecorder,
                 );
                 assert_eq!(par, seq, "{} threads = {threads}", kernel.name());
             }
@@ -906,10 +889,10 @@ mod tests {
     fn rho_query_prunes_disjoint_and_contained_nodes() {
         let data = s1(19, 0.04).into_dataset();
         let part = FlatPartition::strips(&data, 100_000.0);
-        let (_, stats_small) = rho_query_with_stats(&part, &data, 5_000.0);
+        let (_, stats_small) = rho_seq(&part, &data, 5_000.0);
         assert!(stats_small.nodes_discarded > 0);
         let diameter = data.bbox_diameter() * 1.01;
-        let (rho_l, stats_large) = rho_query_with_stats(&part, &data, diameter);
+        let (rho_l, stats_large) = rho_seq(&part, &data, diameter);
         assert!(stats_large.nodes_fully_contained > 0);
         assert!(rho_l.iter().all(|&r| r as usize == data.len() - 1));
     }
@@ -918,7 +901,7 @@ mod tests {
     fn subtree_max_density_is_max_over_members() {
         let data = s1(23, 0.02).into_dataset();
         let part = FlatPartition::strips(&data, 150_000.0);
-        let rho = rho_query(&part, &data, 40_000.0);
+        let (rho, _) = rho_seq(&part, &data, 40_000.0);
         let maxrho = subtree_max_density(&part, &rho);
         let root = part.root().unwrap();
         assert_eq!(maxrho[root], rho.iter().copied().fold(0.0f64, f64::max));
@@ -951,11 +934,11 @@ mod tests {
     fn empty_tree_queries_are_empty() {
         let data = Dataset::new(vec![]);
         let part = FlatPartition::strips(&data, 1.0);
-        assert!(rho_query(&part, &data, 1.0).is_empty());
+        assert!(rho_seq(&part, &data, 1.0).0.is_empty());
         let rho: Vec<Rho> = vec![];
         let order = DensityOrder::new(&rho);
         let maxrho = subtree_max_density(&part, &rho);
-        let deltas = delta_query(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
+        let (deltas, _) = delta_seq(&part, &data, &order, &maxrho, &DeltaQueryConfig::default());
         assert!(deltas.is_empty());
     }
 

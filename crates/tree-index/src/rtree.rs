@@ -34,17 +34,14 @@
 
 use std::time::Duration;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
+use dpc_core::index::validate_dc;
 use dpc_core::{
-    BoundingBox, Dataset, DeltaResult, DensityOrder, DpcError, DpcIndex, ExecPolicy, IndexStats,
-    Kernel, Point, PointId, Result, Rho, TieBreak, Timer, UpdatableIndex,
+    BoundingBox, Dataset, DeltaResult, DpcError, DpcIndex, IndexStats, Point, PointId, Query,
+    Result, Rho, TieBreak, Timer, UpdatableIndex,
 };
 
 use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
-use crate::query::{
-    delta_query_with_policy, eps_query, rho_delta_query_recorded, rho_query_with_policy,
-    subtree_max_density, weighted_rho_query_with_policy, DeltaQueryConfig, QueryStats,
-};
+use crate::query::{eps_query, tree_delta_query, tree_rho_query, DeltaQueryConfig, QueryStats};
 
 /// Configuration of an [`RTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,18 +199,7 @@ impl RTree {
 
     /// ρ-query that also reports traversal statistics.
     pub fn rho_with_stats(&self, dc: f64) -> Result<(Vec<Rho>, QueryStats)> {
-        self.rho_with_stats_policy(dc, ExecPolicy::Sequential)
-    }
-
-    /// [`rho_with_stats`](Self::rho_with_stats) under an explicit execution
-    /// policy (bit-identical results at every thread count).
-    pub fn rho_with_stats_policy(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<Rho>, QueryStats)> {
-        validate_dc(dc)?;
-        Ok(rho_query_with_policy(self, &self.dataset, dc, policy))
+        tree_rho_query(self, &Query::new(dc))
     }
 
     /// δ-query with an explicit pruning configuration, reporting traversal
@@ -224,30 +210,7 @@ impl RTree {
         rho: &[Rho],
         config: &DeltaQueryConfig,
     ) -> Result<(DeltaResult, QueryStats)> {
-        self.delta_with_config_policy(dc, rho, config, ExecPolicy::Sequential)
-    }
-
-    /// [`delta_with_config`](Self::delta_with_config) under an explicit
-    /// execution policy.
-    pub fn delta_with_config_policy(
-        &self,
-        dc: f64,
-        rho: &[Rho],
-        config: &DeltaQueryConfig,
-        policy: ExecPolicy,
-    ) -> Result<(DeltaResult, QueryStats)> {
-        validate_dc(dc)?;
-        validate_rho_len(rho, self.dataset.len())?;
-        let order = DensityOrder::with_tie_break(rho, self.config.tie_break);
-        let maxrho = subtree_max_density(self, rho);
-        Ok(delta_query_with_policy(
-            self,
-            &self.dataset,
-            &order,
-            &maxrho,
-            config,
-            policy,
-        ))
+        tree_delta_query(self, &Query::new(dc), rho, config)
     }
 
     /// Removes `child` from `parent`'s child list and frees its arena slot.
@@ -817,54 +780,12 @@ impl DpcIndex for RTree {
         &self.dataset
     }
 
-    fn rho(&self, dc: f64) -> Result<Vec<Rho>> {
-        self.rho_with_stats(dc).map(|(rho, _)| rho)
+    fn rho_query(&self, q: &Query<'_>) -> Result<Vec<Rho>> {
+        tree_rho_query(self, q).map(|(rho, _)| rho)
     }
 
-    fn delta(&self, dc: f64, rho: &[Rho]) -> Result<DeltaResult> {
-        self.delta_with_config(dc, rho, &self.config.delta)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_with_policy(&self, dc: f64, policy: ExecPolicy) -> Result<Vec<Rho>> {
-        self.rho_with_stats_policy(dc, policy).map(|(rho, _)| rho)
-    }
-
-    fn rho_kernel_with_policy(
-        &self,
-        dc: f64,
-        kernel: Kernel,
-        policy: ExecPolicy,
-    ) -> Result<Vec<Rho>> {
-        if kernel.is_cutoff() {
-            return self.rho_with_policy(dc, policy);
-        }
-        validate_dc(dc)?;
-        kernel.validate()?;
-        Ok(weighted_rho_query_with_policy(self, &self.dataset, dc, kernel, policy).0)
-    }
-
-    fn delta_with_policy(&self, dc: f64, rho: &[Rho], policy: ExecPolicy) -> Result<DeltaResult> {
-        self.delta_with_config_policy(dc, rho, &self.config.delta, policy)
-            .map(|(result, _)| result)
-    }
-
-    fn rho_delta_observed(
-        &self,
-        dc: f64,
-        policy: ExecPolicy,
-        rec: &dyn dpc_obs::Recorder,
-    ) -> Result<(Vec<Rho>, DeltaResult)> {
-        validate_dc(dc)?;
-        Ok(rho_delta_query_recorded(
-            self,
-            &self.dataset,
-            dc,
-            self.config.tie_break,
-            &self.config.delta,
-            policy,
-            rec,
-        ))
+    fn delta_query(&self, q: &Query<'_>, rho: &[Rho]) -> Result<DeltaResult> {
+        tree_delta_query(self, q, rho, &self.config.delta).map(|(result, _)| result)
     }
 
     fn memory_bytes(&self) -> usize {

@@ -8,10 +8,10 @@
 
 use dpc_baseline::LeanDpc;
 use dpc_core::index::{eps_neighbors_scan, weighted_rho_scan};
-use dpc_core::{Dataset, DensityOrder, DpcIndex, ExecPolicy, Kernel, UpdatableIndex};
+use dpc_core::{Dataset, DensityOrder, DpcIndex, ExecPolicy, Kernel, Query, UpdatableIndex};
 use dpc_datasets::testsupport::{test_points, TestDistribution, ALL_DISTRIBUTIONS};
 use dpc_tree_index::common::check_partition_invariants;
-use dpc_tree_index::query::{rho_query, subtree_max_density};
+use dpc_tree_index::query::subtree_max_density;
 use dpc_tree_index::{
     DeltaQueryConfig, GridConfig, GridIndex, KdTree, KdTreeConfig, Quadtree, QuadtreeConfig, RTree,
     RTreeConfig, SpatialPartition,
@@ -143,9 +143,12 @@ proptest! {
             let reference = weighted_rho_scan(&data, dc, kernel, ExecPolicy::Sequential).unwrap();
             for (name, tree) in trees {
                 for threads in [1usize, 4] {
-                    let rho = tree
-                        .rho_kernel_with_policy(dc, kernel, ExecPolicy::Threads(threads))
-                        .unwrap();
+                    let q = Query {
+                        kernel,
+                        exec: ExecPolicy::Threads(threads),
+                        ..Query::new(dc)
+                    };
+                    let rho = tree.rho_query(&q).unwrap();
                     prop_assert_eq!(
                         &rho, &reference,
                         "{} {} threads={}", name, kernel.name(), threads
@@ -155,7 +158,11 @@ proptest! {
         }
         for (name, tree) in trees {
             let counted = tree.rho(dc).unwrap();
-            let cutoff = tree.rho_kernel(dc, Kernel::Cutoff).unwrap();
+            let q = Query {
+                exec: ExecPolicy::Threads(4),
+                ..Query::new(dc)
+            };
+            let cutoff = tree.rho_query(&q).unwrap();
             prop_assert_eq!(&cutoff, &counted, "{} cutoff kernel", name);
         }
     }
@@ -167,7 +174,7 @@ proptest! {
     ) {
         let data = Dataset::from_coords(coords);
         let tree = RTree::build(&data);
-        let rho = rho_query(&tree, &data, dc);
+        let rho = tree.rho(dc).unwrap();
         let maxrho = subtree_max_density(&tree, &rho);
         // For every node, maxrho equals the maximum density of the points in
         // its subtree (checked by walking leaves).

@@ -8,8 +8,8 @@
 //!
 //! * [`core`] — the DPC model: points, datasets, ρ/δ, decision graph,
 //!   assignment, the [`DpcIndex`](core::DpcIndex) trait and the pipeline;
-//! * [`baseline`] — the original O(n²) DPC algorithm (matrix, lean and
-//!   parallel variants);
+//! * [`baseline`] — the original O(n²) DPC algorithm (matrix and lean
+//!   variants);
 //! * [`list_index`] — the paper's List Index and Cumulative Histogram Index,
 //!   with the approximate RN-List option;
 //! * [`tree_index`] — Quadtree, STR R-tree, k-d tree and uniform grid with
@@ -53,10 +53,10 @@ pub use dpc_tree_index as tree_index;
 
 /// The most commonly used items, re-exported for `use density_peaks::prelude::*`.
 pub mod prelude {
-    pub use dpc_baseline::{LeanDpc, MatrixDpc, ParallelDpc};
+    pub use dpc_baseline::{LeanDpc, MatrixDpc};
     pub use dpc_core::{
         cluster_with_index, estimate_dc, CenterSelection, Clustering, Dataset, DcEstimation,
-        DpcIndex, DpcParams, DpcPipeline, Point, TieBreak, UpdatableIndex,
+        DpcIndex, DpcParams, DpcPipeline, Point, Query, TieBreak, UpdatableIndex,
     };
     pub use dpc_datasets::{DatasetKind, DatasetSpec};
     pub use dpc_list_index::{ChIndex, KnnDpc, ListIndex};

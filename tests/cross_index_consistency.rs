@@ -5,7 +5,7 @@
 //! This is the central correctness claim of the reproduction: the paper's
 //! indices are pure accelerations, not approximations (Theorem 3).
 
-use density_peaks::core::ExecPolicy;
+use density_peaks::core::{ExecPolicy, Query};
 use density_peaks::prelude::*;
 use dpc_baseline::MatrixDpc;
 use proptest::prelude::*;
@@ -68,13 +68,12 @@ proptest! {
         let data = Dataset::from_coords(points);
         let mut indexes = all_exact_indices(&data);
         indexes.push(("lean", Box::new(LeanDpc::build(&data))));
-        indexes.push(("parallel", Box::new(ParallelDpc::build_with_threads(&data, 4))));
         for (name, index) in indexes {
             let (seq_rho, seq_delta) = index.rho_delta(dc).unwrap();
-            for threads in [1usize, 2, 3, 7] {
-                let policy = ExecPolicy::Threads(threads);
-                let rho = index.rho_with_policy(dc, policy).unwrap();
-                let delta = index.delta_with_policy(dc, &rho, policy).unwrap();
+            for threads in [1usize, 2, 3, 4, 7] {
+                let q = Query { exec: ExecPolicy::Threads(threads), ..Query::new(dc) };
+                let rho = index.rho_query(&q).unwrap();
+                let delta = index.delta_query(&q, &rho).unwrap();
                 prop_assert_eq!(&rho, &seq_rho, "rho differs for {} at {} threads", name, threads);
                 prop_assert_eq!(
                     &delta.delta, &seq_delta.delta,

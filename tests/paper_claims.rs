@@ -10,7 +10,7 @@ use dpc_tree_index::DeltaQueryConfig;
 use std::time::Duration;
 
 fn median_query_time(index: &dyn DpcIndex, dc: f64) -> Duration {
-    dpc_metrics::measure_median(3, || index.rho_delta(dc).unwrap()).0
+    dpc_obs::measure_median(3, || index.rho_delta(dc).unwrap()).0
 }
 
 /// §5.2 / Table 3: list-based indices need orders of magnitude more memory
@@ -39,12 +39,12 @@ fn construction_cost_ordering_matches_table4() {
     let kind = DatasetKind::Range;
     let data = kind.generate(2, 0.01).into_dataset(); // 2 000 points
 
-    let (list_time, lists) = dpc_metrics::measure_once(|| NeighborLists::build(&data, None));
-    let (hist_time, _) = dpc_metrics::measure_once(|| {
+    let (list_time, lists) = dpc_obs::measure_once(|| NeighborLists::build(&data, None));
+    let (hist_time, _) = dpc_obs::measure_once(|| {
         ChIndex::from_lists(&data, lists.clone(), kind.default_bin_width())
     });
-    let (rtree_time, _) = dpc_metrics::measure_once(|| RTree::build(&data));
-    let (quadtree_time, _) = dpc_metrics::measure_once(|| Quadtree::build(&data));
+    let (rtree_time, _) = dpc_obs::measure_once(|| RTree::build(&data));
+    let (quadtree_time, _) = dpc_obs::measure_once(|| Quadtree::build(&data));
 
     assert!(
         rtree_time < list_time,

@@ -35,18 +35,19 @@ fn every_prelude_index_matches_the_naive_reference() {
         ("grid", Box::new(GridIndex::build(&data))),
         ("lean", Box::new(LeanDpc::build(&data))),
         ("matrix", Box::new(MatrixDpc::build(&data))),
-        (
-            "parallel",
-            Box::new(ParallelDpc::build_with_threads(&data, 4)),
-        ),
     ];
 
-    for (name, index) in &indexes {
-        let clustering = cluster_with_index(index.as_ref(), &params).unwrap();
-        assert_eq!(
-            clustering.labels(),
-            expected.labels(),
-            "index {name} disagrees with the naive reference"
-        );
+    // Every index sequentially and on 4 worker threads: threading is a pure
+    // acceleration, and it covers the brute-force `LeanDpc` scans too.
+    for threads in [1, 4] {
+        let params = params.clone().with_threads(threads);
+        for (name, index) in &indexes {
+            let clustering = cluster_with_index(index.as_ref(), &params).unwrap();
+            assert_eq!(
+                clustering.labels(),
+                expected.labels(),
+                "index {name} at {threads} threads disagrees with the naive reference"
+            );
+        }
     }
 }
