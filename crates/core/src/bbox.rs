@@ -214,20 +214,9 @@ impl BoundingBox {
         if self.is_empty() {
             return f64::INFINITY;
         }
-        let dx = if p.x < self.min_x {
-            self.min_x - p.x
-        } else if p.x > self.max_x {
-            p.x - self.max_x
-        } else {
-            0.0
-        };
-        let dy = if p.y < self.min_y {
-            self.min_y - p.y
-        } else if p.y > self.max_y {
-            p.y - self.max_y
-        } else {
-            0.0
-        };
+        // Branch-free: at most one of the two gaps is positive.
+        let dx = (self.min_x - p.x).max(p.x - self.max_x).max(0.0);
+        let dy = (self.min_y - p.y).max(p.y - self.max_y).max(0.0);
         dx * dx + dy * dy
     }
 
@@ -253,6 +242,55 @@ impl BoundingBox {
         }
         let dx = (p.x - self.min_x).abs().max((p.x - self.max_x).abs());
         let dy = (p.y - self.min_y).abs().max((p.y - self.max_y).abs());
+        dx * dx + dy * dy
+    }
+
+    /// A lower bound on [`min_dist_squared`](Self::min_dist_squared) from
+    /// any point of `other`: the squared gap between the two boxes (`0` when
+    /// they touch or overlap, `+∞` when either is empty).
+    ///
+    /// The bound holds in floating point, not only over the reals: for a
+    /// point `p` of `other`, each of `p`'s axis gaps is a difference
+    /// `fl(a − b)` that only shrinks as `p` moves towards this box, and
+    /// rounded subtraction, squaring and addition are all monotone. So
+    /// `other.min_dist_squared_to(self) <= self.min_dist_squared(p)` exactly,
+    /// and a leaf-wide `>= dc²` test discards the box only where the
+    /// per-point test would discard it for every point of `other`.
+    #[inline]
+    pub fn min_dist_squared_to(&self, other: &BoundingBox) -> f64 {
+        if self.is_empty() || other.is_empty() {
+            return f64::INFINITY;
+        }
+        let dx = (self.min_x - other.max_x)
+            .max(other.min_x - self.max_x)
+            .max(0.0);
+        let dy = (self.min_y - other.max_y)
+            .max(other.min_y - self.max_y)
+            .max(0.0);
+        dx * dx + dy * dy
+    }
+
+    /// An upper bound on [`max_dist_squared`](Self::max_dist_squared) from
+    /// any point of `other`: the squared distance between the two farthest
+    /// corners (`0` when either box is empty, which holds vacuously).
+    ///
+    /// Exact in floating point for the reason given at
+    /// [`min_dist_squared_to`](Self::min_dist_squared_to): every axis term
+    /// of the per-point bound is a rounded difference that the far-corner
+    /// difference dominates. A leaf-wide `< dc²` test therefore counts the
+    /// box wholesale only where the per-point test would for every point of
+    /// `other`.
+    #[inline]
+    pub fn max_dist_squared_to(&self, other: &BoundingBox) -> f64 {
+        if self.is_empty() || other.is_empty() {
+            return 0.0;
+        }
+        let dx = (self.max_x - other.min_x)
+            .abs()
+            .max((other.max_x - self.min_x).abs());
+        let dy = (self.max_y - other.min_y)
+            .abs()
+            .max((other.max_y - self.min_y).abs());
         dx * dx + dy * dy
     }
 
@@ -356,6 +394,68 @@ mod tests {
         let e = BoundingBox::EMPTY;
         assert_eq!(e.min_dist_squared(Point::origin()), f64::INFINITY);
         assert_eq!(e.max_dist_squared(Point::origin()), 0.0);
+    }
+
+    #[test]
+    fn box_to_box_bounds_bracket_every_point_pair() {
+        // xorshift64*, so the sweep is deterministic without a dependency.
+        fn next(state: &mut u64) -> f64 {
+            *state ^= *state >> 12;
+            *state ^= *state << 25;
+            *state ^= *state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        // Coordinates at several magnitudes, with offsets that cross zero, so
+        // the rounded differences really round.
+        let coord = |state: &mut u64, scale: f64| (next(state) - 0.5) * scale + 0.1;
+        for round in 0..4_000 {
+            let scale = [1e-3, 1.0, 7.3e4, 1e12][round % 4];
+            let mut make = || {
+                let (x0, x1) = (coord(&mut state, scale), coord(&mut state, scale));
+                let (y0, y1) = (coord(&mut state, scale), coord(&mut state, scale));
+                BoundingBox::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1))
+            };
+            let (a, b) = (make(), make());
+            let (lo, hi) = (a.min_dist_squared_to(&b), a.max_dist_squared_to(&b));
+            assert_eq!(lo, b.min_dist_squared_to(&a), "min is symmetric");
+            assert_eq!(hi, b.max_dist_squared_to(&a), "max is symmetric");
+            let pts = |bb: &BoundingBox, t: [f64; 4]| {
+                let lerp = |lo: f64, hi: f64, t: f64| (lo + (hi - lo) * t).clamp(lo, hi);
+                let mut out = vec![
+                    Point::new(bb.min_x, bb.min_y),
+                    Point::new(bb.max_x, bb.max_y),
+                    Point::new(bb.min_x, bb.max_y),
+                    Point::new(bb.max_x, bb.min_y),
+                ];
+                for w in t.chunks(2) {
+                    out.push(Point::new(
+                        lerp(bb.min_x, bb.max_x, w[0]),
+                        lerp(bb.min_y, bb.max_y, w[1]),
+                    ));
+                }
+                out
+            };
+            let mut t = || [0; 4].map(|_| next(&mut state));
+            let (ta, tb) = (t(), t());
+            for p in pts(&a, ta) {
+                // The per-point box distances the tree queries test.
+                assert!(lo <= b.min_dist_squared(p), "{a:?} {b:?} {p:?}");
+                assert!(hi >= b.max_dist_squared(p), "{a:?} {b:?} {p:?}");
+                for q in pts(&b, tb) {
+                    let d2 = p.distance_squared(&q);
+                    assert!(lo <= d2 && d2 <= hi, "{a:?} {b:?} {p:?} {q:?}");
+                }
+            }
+        }
+        let unit = BoundingBox::new(0.0, 0.0, 1.0, 1.0);
+        assert_eq!(unit.min_dist_squared_to(&unit), 0.0);
+        assert_eq!(unit.max_dist_squared_to(&unit), 2.0);
+        let far = BoundingBox::new(4.0, 5.0, 6.0, 9.0);
+        assert_eq!(unit.min_dist_squared_to(&far), 9.0 + 16.0);
+        assert_eq!(unit.max_dist_squared_to(&far), 36.0 + 81.0);
+        assert_eq!(unit.min_dist_squared_to(&BoundingBox::EMPTY), f64::INFINITY);
+        assert_eq!(BoundingBox::EMPTY.max_dist_squared_to(&unit), 0.0);
     }
 
     #[test]

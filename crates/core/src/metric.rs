@@ -26,16 +26,22 @@
 //!   distances tie. Such loops compare squared distances only as a
 //!   **prefilter** — skip `d²` above [`sq_prefilter_bound`] of the best
 //!   distance so far, and take the root of the survivors to decide.
-//! * **Unsafe: δ pruning and anything built on the triangle inequality.**
-//!   Lemma 2 of the paper prunes a node `N` because
-//!   `dmin(p, N) ≤ dist(p, q)` for every `q ∈ N` — a geometric lower bound
-//!   that the best-first δ-search compares against the best candidate δ so
-//!   far, and that downstream consumers (the decision graph, the RN-List
-//!   threshold reasoning of §3.3, halo boundaries) combine *additively* with
-//!   other distances. Squared "distance" is not a metric: it violates the
-//!   triangle inequality (`d²(a,c) ≰ d²(a,b) + d²(b,c)`), so any bound that
-//!   offsets, sums or subtracts distances breaks after squaring. The δ-query
-//!   therefore keeps true metric distances throughout.
+//! * **A prefilter too: Lemma 2's node test.** Lemma 2 of the paper prunes
+//!   a node `N` because `dmin(p, N) ≤ dist(p, q)` for every `q ∈ N`, and
+//!   that bound also holds between the rounded squares
+//!   ([`BoundingBox::min_dist_squared`](crate::BoundingBox::min_dist_squared)
+//!   never exceeds a member's `d²`). So the best-first δ-search orders its
+//!   heap by `dmin²` and prunes a node only when `dmin²` exceeds
+//!   [`sq_prefilter_bound`] of the best candidate δ — a node that could
+//!   hold a tie always survives, and the `(distance, id)` rule still
+//!   decides on true distances.
+//! * **Unsafe: anything built on the triangle inequality.** Downstream
+//!   consumers of δ (the decision graph, the RN-List threshold reasoning of
+//!   §3.3, halo boundaries) combine distances *additively*. Squared
+//!   "distance" is not a metric: it violates the triangle inequality
+//!   (`d²(a,c) ≰ d²(a,b) + d²(b,c)`), so any bound that offsets, sums or
+//!   subtracts distances breaks after squaring. δ itself is therefore always
+//!   a true metric distance.
 
 /// A squared-distance bound for prefiltering a `(distance, id)` argmin: every
 /// `d2` above `sq_prefilter_bound(best)` has `d2.sqrt() > best`, so such a

@@ -22,7 +22,7 @@
 //!
 //! Everything here minimises the lexicographic pair `(δ, id)`: the
 //! correctly rounded *true* distance first, the smaller id on equal
-//! distances — the workspace-wide convention (`delta_one` in
+//! distances — the workspace-wide convention (the tree δ-query in
 //! `dpc-tree-index`, the brute-force kernels in `dpc-baseline`,
 //! `NaiveReferenceIndex`). Minimising *squared* distances instead is not
 //! equivalent: two squared distances one ulp apart can share a square root,

@@ -14,13 +14,16 @@
 //! all built over the same [`SpatialPartition`] abstraction so that the two
 //! DPC queries are implemented exactly once, in [`query`]:
 //!
-//! * the **ρ-query** classifies each node against the query circle as fully
-//!   contained / discarded / intersecting (Observation 1) and only descends
-//!   into intersecting nodes;
-//! * the **δ-query** performs a best-first search with the paper's two
-//!   pruning rules — *density pruning* (Lemma 1: skip nodes whose `maxrho` is
-//!   below the query point's density) and *distance pruning* (Lemma 2: skip
-//!   nodes farther than the best candidate δ found so far).
+//! * the **ρ-query** classifies nodes as fully contained / discarded /
+//!   intersecting (Observation 1) and only descends into intersecting ones —
+//!   once per leaf against the leaf's box, then per point over the few
+//!   candidate leaves the leaf could not decide;
+//! * the **δ-query** performs a best-first search, seeded from the point's
+//!   own leaf, with the paper's two pruning rules — *density pruning*
+//!   (Lemma 1: skip nodes whose `maxrho` is below the query point's density,
+//!   and stop each densest-first leaf scan at the first sparser point) and
+//!   *distance pruning* (Lemma 2: skip nodes farther than the best candidate
+//!   δ found so far).
 //!
 //! The pruning rules can be switched off individually via
 //! [`DeltaQueryConfig`] for the ablation experiments, and every query can

@@ -1,27 +1,76 @@
 //! The generic ρ- and δ-query algorithms shared by all tree indices.
 //!
 //! These are Algorithms 5 and 6 of the paper, written once against
-//! [`SpatialPartition`]:
+//! [`SpatialPartition`] and run *leaf-local*: the points of one leaf share
+//! whatever the leaf as a whole already decides, so no point restarts a
+//! traversal at the root with nothing known.
 //!
-//! * **ρ-query** (Algorithm 5): depth-first traversal that classifies every
-//!   node against the query circle `(p, dc)` — *fully contained* nodes
-//!   contribute their point count `nc` wholesale, *discarded* nodes
-//!   contribute nothing, and only *intersecting* nodes are descended into
-//!   (Observation 1). The traversal is sqrt-free: every comparison is made
-//!   between squared distances and a precomputed `dc²` (see the safety
+//! Both whole-dataset queries start with one O(n) walk of the tree. It copies
+//! every leaf's points into contiguous per-query storage, with the tight box
+//! of each leaf and the *home leaf* of each point. The copy lives only for
+//! the query, so an index's `memory_bytes()` does not include it.
+//!
+//! * **ρ-query** (Algorithm 5) runs in two passes.
+//!   1. *Per leaf* `L`: one depth-first traversal classifies every node
+//!      against `L`'s box with the box-to-box bounds
+//!      [`BoundingBox::min_dist_squared_to`] and
+//!      [`BoundingBox::max_dist_squared_to`]. A node within `dc` of every
+//!      point of `L` is counted wholesale (its `nc`), a node beyond `dc` of
+//!      all of `L` is dropped, and of the rest only the leaves are kept, as
+//!      `L`'s *candidates*.
+//!   2. *Per point* `p`: `ρ(p)` is its home leaf's wholesale count plus `p`'s
+//!      own classification of each candidate leaf — discarded, *fully
+//!      contained* (counted wholesale) or scanned (Observation 1).
+//!
+//!   Both box-to-box bounds hold exactly in floating point, so every count
+//!   equals the per-point traversal's. The query is sqrt-free: it compares
+//!   squared distances against a precomputed `dc²` (see the safety
 //!   discussion in [`dpc_core::metric`]).
-//! * **δ-query** (Algorithm 6): best-first search over nodes ordered by
-//!   `dmin(p, node)`, with **density pruning** (Lemma 1: a node whose
-//!   `maxrho` is below `ρ(p)` cannot contain the dependent neighbour) and
-//!   **distance pruning** (Lemma 2: a node farther than the best candidate δ
-//!   cannot improve it). The δ path deliberately keeps *true* metric
-//!   distances — Lemma 2 and everything downstream of δ combine distances
-//!   additively, which squared distances (no triangle inequality) do not
-//!   support.
+//! * **δ-query** (Algorithm 6) sorts each leaf's copy densest-first. For a
+//!   point `p` it
+//!   1. scans `p`'s home leaf first, which seeds the candidate δ before any
+//!      node is opened;
+//!   2. runs the best-first search over the other nodes, ordered by
+//!      `dmin²(p, node)`, with **density pruning** (Lemma 1: a node whose
+//!      `maxrho` is below `ρ(p)` cannot contain the dependent neighbour) and
+//!      **distance pruning** (Lemma 2: a node with `dmin²` above the padded
+//!      bound [`sq_prefilter_bound`] of the candidate δ can neither beat nor
+//!      tie it);
+//!   3. stops every leaf scan at the first entry that is not denser than `p`
+//!      — Lemma 1 inside a leaf, since every later entry is sparser still.
 //!
-//! Both queries run per point with no data dependency between points, so
-//! they parallelise over the chunked engine of [`dpc_core::exec`]: under an
-//! [`ExecPolicy`] each worker thread gets its own [`QueryScratch`] — a
+//!   Squared distances only order the search and prune it. A point that
+//!   survives the prefilter is decided on its rounded true distance by the
+//!   `(distance, id)` rule, so µ on √-ties matches the list indices and the
+//!   baseline. δ itself stays a true metric distance: downstream consumers
+//!   combine it additively, which squared distances (no triangle inequality)
+//!   do not support.
+//!
+//! # Work counters
+//!
+//! Each query returns a [`QueryStats`]:
+//!
+//! * ρ-query: `nodes_visited` counts the nodes the per-leaf traversals open
+//!   plus the candidate leaves the points test; `nodes_discarded` and
+//!   `nodes_fully_contained` count those of them dropped and counted
+//!   wholesale, by a leaf's plan or by a point. `points_scanned` counts the
+//!   point pairs whose distance is computed.
+//! * δ-query: `nodes_visited` counts the home-leaf scans plus the nodes
+//!   popped from the heap. `nodes_density_pruned` and
+//!   `nodes_distance_pruned` count the children skipped by Lemma 1 and
+//!   Lemma 2; the distance count also takes in the nodes still queued at
+//!   Lemma 2's early exit. `points_scanned` counts the leaf entries whose
+//!   distance is computed: the denser prefix of each scanned leaf, or the
+//!   whole leaf with density pruning off.
+//!
+//! The counters depend only on the tree, the data and the query, never on
+//! the thread count.
+//!
+//! # Threads, recorder and ablation
+//!
+//! The per-leaf and per-point passes have no data dependency between items,
+//! so they parallelise over the chunked engine of [`dpc_core::exec`]: under
+//! an [`ExecPolicy`] each worker thread gets its own [`QueryScratch`] — a
 //! reusable node stack, best-first heap and [`QueryStats`] — merged
 //! deterministically after the join. Results are bit-identical at every
 //! thread count.
@@ -38,22 +87,24 @@
 //! [`DeltaQueryConfig`] — that is what the pruning-ablation benchmark
 //! measures.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use dpc_core::index::{validate_dc, validate_rho_len};
 use dpc_core::{
-    exec, sq_prefilter_bound, Dataset, DeltaResult, DensityOrder, DpcIndex, ExecPolicy, Kernel,
-    Point, PointId, Query, Result, Rho,
+    exec, sq_prefilter_bound, BoundingBox, Dataset, DeltaResult, DensityOrder, DpcIndex,
+    ExecPolicy, Kernel, Point, PointId, Query, Result, Rho, TieBreak,
 };
 
 use crate::common::{NodeId, SpatialPartition};
 
-/// Counters describing how much work a query did. Used by the ablation
-/// benchmarks and by tests asserting that pruning actually prunes.
+/// Counters describing how much work a query did (see the module docs for
+/// what each counts in the ρ- and δ-query). Used by the ablation benchmarks
+/// and by tests asserting that pruning actually prunes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Nodes popped/descended into.
+    /// Nodes opened or tested.
     pub nodes_visited: u64,
     /// Nodes skipped because they lie entirely outside the query circle
     /// (ρ-query only).
@@ -106,12 +157,13 @@ impl QueryStats {
     }
 }
 
-/// Per-worker reusable traversal state: the depth-first stack of the ρ-query,
-/// the best-first heap of the δ-query, and the traversal counters.
+/// Per-worker reusable traversal state: the depth-first stack of the ρ-query
+/// plans and the weighted ρ-query, the best-first heap of the δ-query, and
+/// the traversal counters.
 ///
 /// One scratch lives per worker thread (or one for the whole query when
-/// sequential) and is reused across every point of that worker's chunk, so
-/// the per-point hot loops allocate nothing.
+/// sequential) and is reused across every item of that worker's chunk, so
+/// the per-item hot loops allocate nothing beyond their outputs.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// Counters accumulated over every query this scratch served.
@@ -132,7 +184,8 @@ impl QueryScratch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaQueryConfig {
     /// Lemma 1: skip subtrees whose maximum density is below the query
-    /// point's density.
+    /// point's density, and stop each densest-first leaf scan at the first
+    /// point that is not denser than the query point.
     pub density_pruning: bool,
     /// Lemma 2: skip subtrees whose minimum distance exceeds the best
     /// candidate δ found so far.
@@ -150,7 +203,7 @@ impl Default for DeltaQueryConfig {
 
 impl DeltaQueryConfig {
     /// Configuration with every pruning rule disabled (exhaustive best-first
-    /// search); the ablation baseline.
+    /// search that scans every point of every leaf); the ablation baseline.
     pub fn no_pruning() -> Self {
         DeltaQueryConfig {
             density_pruning: false,
@@ -159,14 +212,129 @@ impl DeltaQueryConfig {
     }
 }
 
+/// Marks a node that is not a leaf in [`Leaves::of_node`].
+const NOT_A_LEAF: u32 = u32::MAX;
+
+/// A per-query copy of a partition's leaves: each leaf's points stored
+/// contiguously, leaf after leaf, with every node's box and the home leaf of
+/// each point.
+struct Leaves {
+    /// Leaf index → its node.
+    nodes: Vec<NodeId>,
+    /// `start[i]..start[i + 1]` are leaf `i`'s entries.
+    start: Vec<usize>,
+    /// Node id → box: the tight box of a leaf's points (empty for a leaf
+    /// emptied by deletions), the tree's own (possibly stale, always
+    /// covering) box for any other node.
+    boxes: Vec<BoundingBox>,
+    /// Entry coordinates.
+    pts: Vec<Point>,
+    /// Entry point ids.
+    ids: Vec<u32>,
+    /// Entry densities (δ-query only), with `-0.0` stored as `+0.0`.
+    rho: Vec<Rho>,
+    /// Point id → index of its home leaf.
+    home: Vec<u32>,
+    /// Node id → leaf index, or [`NOT_A_LEAF`].
+    of_node: Vec<u32>,
+}
+
+impl Leaves {
+    /// One walk of `tree`. With an `order`, each leaf's entries are sorted
+    /// densest-first under it and carry their densities.
+    fn collect<T: SpatialPartition + ?Sized>(
+        tree: &T,
+        dataset: &Dataset,
+        order: Option<&DensityOrder<'_>>,
+    ) -> Leaves {
+        let n = dataset.len();
+        let mut leaves = Leaves {
+            nodes: Vec::new(),
+            start: vec![0],
+            boxes: (0..tree.num_nodes()).map(|node| tree.bbox(node)).collect(),
+            pts: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n),
+            rho: Vec::with_capacity(if order.is_some() { n } else { 0 }),
+            home: vec![0; n],
+            of_node: vec![NOT_A_LEAF; tree.num_nodes()],
+        };
+        let Some(root) = tree.root() else {
+            return leaves;
+        };
+        let points = dataset.points();
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            if !tree.is_leaf(node) {
+                stack.extend_from_slice(tree.children(node));
+                continue;
+            }
+            let leaf = leaves.nodes.len() as u32;
+            leaves.nodes.push(node);
+            leaves.of_node[node] = leaf;
+            let first = leaves.ids.len();
+            leaves.ids.extend_from_slice(tree.points(node));
+            let entries = &mut leaves.ids[first..];
+            if let Some(order) = order {
+                entries.sort_unstable_by(|&a, &b| density_cmp(order, b as PointId, a as PointId));
+                // `-0.0 + 0.0` is `+0.0`: the two zeros sort as equals.
+                let rho = order.rho();
+                leaves
+                    .rho
+                    .extend(entries.iter().map(|&q| rho[q as usize] + 0.0));
+            }
+            let mut bbox = BoundingBox::EMPTY;
+            for &q in entries.iter() {
+                let pt = points[q as usize];
+                bbox = bbox.extended(pt);
+                leaves.pts.push(pt);
+                leaves.home[q as usize] = leaf;
+            }
+            leaves.boxes[node] = bbox;
+            leaves.start.push(leaves.ids.len());
+        }
+        leaves
+    }
+
+    /// Number of leaves.
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The tight box of leaf `leaf`'s points.
+    #[inline]
+    fn leaf_box(&self, leaf: u32) -> BoundingBox {
+        self.boxes[self.nodes[leaf as usize]]
+    }
+
+    /// The entries of leaf `leaf`.
+    #[inline]
+    fn range(&self, leaf: u32) -> Range<usize> {
+        self.start[leaf as usize]..self.start[leaf as usize + 1]
+    }
+}
+
+/// [`DensityOrder::is_denser`] as a comparator: `Greater` when `q` is denser
+/// than `p`. The two zeros compare equal, as they do there.
+fn density_cmp(order: &DensityOrder<'_>, q: PointId, p: PointId) -> Ordering {
+    let rho = order.rho();
+    (rho[q] + 0.0)
+        .total_cmp(&(rho[p] + 0.0))
+        .then_with(|| match order.tie_break() {
+            TieBreak::SmallerIdDenser => p.cmp(&q),
+            TieBreak::LargerIdDenser => q.cmp(&p),
+        })
+}
+
 /// Computes the cut-off ρ of every point under an execution policy,
-/// reporting one `query.rho.chunk` span per worker plus the aggregated
-/// [`QueryStats`] counters under the `query.rho` prefix to `rec`.
+/// reporting one `query.rho.plan.chunk` span per worker of the per-leaf
+/// pass, one `query.rho.chunk` span per worker of the per-point pass, and
+/// the aggregated [`QueryStats`] counters under the `query.rho` prefix to
+/// `rec`.
 ///
-/// The per-point queries are partitioned across worker threads, each with
-/// its own [`QueryScratch`], and the per-worker statistics are merged in
-/// chunk order after the join. Results are bit-identical at every thread
-/// count and with or without a recorder.
+/// Each pass partitions its items across worker threads, each with its own
+/// [`QueryScratch`], and the per-worker statistics are merged in chunk order
+/// after the join. Results are bit-identical at every thread count and with
+/// or without a recorder.
 pub fn rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
     tree: &T,
     dataset: &Dataset,
@@ -174,15 +342,29 @@ pub fn rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
     policy: ExecPolicy,
     rec: &dyn dpc_obs::Recorder,
 ) -> (Vec<Rho>, QueryStats) {
+    let leaves = Leaves::collect(tree, dataset, None);
+    let dc2 = dc * dc;
+    let mut plans: Vec<LeafPlan> = (0..leaves.len()).map(|_| LeafPlan::default()).collect();
+    let mut scratches = exec::fill_slice_recorded(
+        &mut plans,
+        policy,
+        rec,
+        "query.rho.plan.chunk",
+        QueryScratch::new,
+        |leaf, scratch| leaf_plan(tree, &leaves, leaf as u32, dc2, scratch),
+    );
     let mut rho = vec![0 as Rho; dataset.len()];
-    let scratches = exec::fill_slice_recorded(
+    scratches.extend(exec::fill_slice_recorded(
         &mut rho,
         policy,
         rec,
         "query.rho.chunk",
         QueryScratch::new,
-        |p, scratch| rho_one(tree, dataset, p, dc, scratch),
-    );
+        |p, scratch| {
+            let plan = &plans[leaves.home[p] as usize];
+            rho_one(&leaves, plan, dataset.point(p), dc2, &mut scratch.stats)
+        },
+    ));
     (rho, merged_stats(&scratches, rec, "query.rho"))
 }
 
@@ -201,52 +383,86 @@ fn merged_stats(
     stats
 }
 
-/// ρ of a single point: counts points strictly within `dc`, excluding the
-/// point itself. Sqrt-free: all comparisons are against `dc²`.
-pub fn rho_one<T: SpatialPartition + ?Sized>(
+/// What one leaf's traversal decides for every point in it.
+#[derive(Debug, Default)]
+struct LeafPlan {
+    /// Points in the nodes lying within `dc` of the whole leaf.
+    wholesale: usize,
+    /// The leaves that may hold points within `dc` of some point of the leaf.
+    candidates: Vec<u32>,
+}
+
+/// The ρ plan of leaf `leaf`: one depth-first traversal classifying nodes
+/// against the leaf's box. A node emptied by deletions is dropped whatever
+/// its stale box says.
+fn leaf_plan<T: SpatialPartition + ?Sized>(
     tree: &T,
-    dataset: &Dataset,
-    p: PointId,
-    dc: f64,
+    leaves: &Leaves,
+    leaf: u32,
+    dc2: f64,
     scratch: &mut QueryScratch,
-) -> Rho {
-    let Some(root) = tree.root() else { return 0.0 };
-    let query = dataset.point(p);
-    let pts = dataset.points();
-    let dc2 = dc * dc;
+) -> LeafPlan {
+    let mut plan = LeafPlan::default();
+    let own = leaves.leaf_box(leaf);
+    // An emptied leaf is home to no point and needs no plan.
+    let (Some(root), false) = (tree.root(), own.is_empty()) else {
+        return plan;
+    };
     let stats = &mut scratch.stats;
-    // Count all points (including p itself, which is trivially within dc of
-    // itself) and subtract 1 at the end; this lets fully-contained nodes be
-    // added wholesale without worrying about which node holds p.
-    let mut count = 0usize;
     let stack = &mut scratch.stack;
     stack.clear();
     stack.push(root);
     while let Some(node) = stack.pop() {
         stats.nodes_visited += 1;
-        let bbox = tree.bbox(node);
-        if bbox.min_dist_squared(query) >= dc2 {
+        let bbox = leaves.boxes[node];
+        if tree.point_count(node) == 0 || own.min_dist_squared_to(&bbox) >= dc2 {
             stats.nodes_discarded += 1;
-            continue;
-        }
-        if bbox.max_dist_squared(query) < dc2 {
+        } else if own.max_dist_squared_to(&bbox) < dc2 {
             stats.nodes_fully_contained += 1;
-            count += tree.point_count(node);
-            continue;
-        }
-        if tree.is_leaf(node) {
-            for &q in tree.points(node) {
-                stats.points_scanned += 1;
-                if pts[q as usize].distance_squared(&query) < dc2 {
-                    count += 1;
-                }
-            }
+            plan.wholesale += tree.point_count(node);
+        } else if leaves.of_node[node] != NOT_A_LEAF {
+            plan.candidates.push(leaves.of_node[node]);
         } else {
             stack.extend_from_slice(tree.children(node));
         }
     }
-    // `count` includes p itself (distance 0 < dc always holds for dc > 0).
-    (count.saturating_sub(1)) as Rho
+    plan
+}
+
+/// ρ of the point at `query` from its home leaf's `plan`: counts points
+/// strictly within `dc`, excluding the point itself. Sqrt-free: all
+/// comparisons are against `dc²`.
+fn rho_one(
+    leaves: &Leaves,
+    plan: &LeafPlan,
+    query: Point,
+    dc2: f64,
+    stats: &mut QueryStats,
+) -> Rho {
+    // The count includes the point itself (distance 0 < dc always holds for
+    // dc > 0): its home leaf is either inside the plan's wholesale count or
+    // one of its candidates, which the point can neither discard nor miss.
+    let mut count = plan.wholesale;
+    for &c in &plan.candidates {
+        stats.nodes_visited += 1;
+        let bbox = leaves.leaf_box(c);
+        if bbox.min_dist_squared(query) >= dc2 {
+            stats.nodes_discarded += 1;
+            continue;
+        }
+        let range = leaves.range(c);
+        if bbox.max_dist_squared(query) < dc2 {
+            stats.nodes_fully_contained += 1;
+            count += range.len();
+            continue;
+        }
+        stats.points_scanned += range.len() as u64;
+        count += leaves.pts[range]
+            .iter()
+            .filter(|q| q.distance_squared(&query) < dc2)
+            .count();
+    }
+    count.saturating_sub(1) as Rho
 }
 
 /// Computes kernel-weighted ρ for every point under an execution policy —
@@ -280,11 +496,12 @@ pub fn weighted_rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
 /// Kernel-weighted ρ of a single point: sums `w(d)` over all points strictly
 /// within `dc`, excluding the point itself.
 ///
-/// Unlike [`rho_one`] there is no fully-contained shortcut — every in-range
-/// neighbour's distance feeds the kernel — so the traversal mirrors
-/// [`eps_query`]: prune nodes entirely outside the circle (and nodes emptied
-/// by deletions), scan surviving leaves. Collected `(id, d²)` pairs are
-/// sorted by id and summed ascending, the canonical order of
+/// Unlike the cut-off [`rho_query_recorded`] there is no fully-contained
+/// shortcut — every in-range neighbour's distance feeds the kernel — so the
+/// traversal mirrors [`eps_query`]: prune nodes entirely outside the circle
+/// (and nodes emptied by deletions), scan surviving leaves. Collected
+/// `(id, d²)` pairs are sorted by id and summed ascending, the canonical
+/// order of
 /// [`dpc_core::index::weighted_rho_scan`], so the result is bit-identical to
 /// the brute-force scan.
 pub fn weighted_rho_one<T: SpatialPartition + ?Sized>(
@@ -423,6 +640,15 @@ pub fn delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
 ) -> (DeltaResult, QueryStats) {
     let n = dataset.len();
     debug_assert_eq!(order.len(), n);
+    let leaves = Leaves::collect(tree, dataset, Some(order));
+    let search = DeltaSearch {
+        tree,
+        leaves: &leaves,
+        dataset,
+        order,
+        maxrho,
+        config,
+    };
     let mut result = DeltaResult::unset(n);
     let scratches = exec::fill_slice_pair_recorded(
         &mut result.delta,
@@ -432,10 +658,175 @@ pub fn delta_query_recorded<T: SpatialPartition + Sync + ?Sized>(
         "query.delta.chunk",
         QueryScratch::new,
         |p, delta_slot, mu_slot, scratch| {
-            (*delta_slot, *mu_slot) = delta_one(tree, dataset, order, maxrho, p, config, scratch);
+            (*delta_slot, *mu_slot) = search.delta_one(p, scratch);
         },
     );
     (result, merged_stats(&scratches, rec, "query.delta"))
+}
+
+/// Everything one δ-query shares across its points.
+struct DeltaSearch<'a, T: ?Sized> {
+    tree: &'a T,
+    /// The leaves, each sorted densest-first.
+    leaves: &'a Leaves,
+    dataset: &'a Dataset,
+    order: &'a DensityOrder<'a>,
+    maxrho: &'a [Rho],
+    config: &'a DeltaQueryConfig,
+}
+
+/// The best `(δ, µ)` candidate of one point's δ-query so far.
+struct Candidate {
+    d: f64,
+    /// [`sq_prefilter_bound`] of `d`: squared distances above it can neither
+    /// beat nor tie the candidate.
+    sq: f64,
+    q: Option<PointId>,
+}
+
+impl Candidate {
+    /// Offers the denser point `q` at squared distance `d2`. A point above
+    /// the squared-distance prefilter is skipped without a root; the others
+    /// are decided on their rounded true distance by the lexicographic
+    /// `(distance, id)` rule, which keeps µ identical to the list-based
+    /// indices and the baseline when several denser neighbours are
+    /// equidistant.
+    #[inline]
+    fn offer(&mut self, q: PointId, d2: f64) {
+        if d2 > self.sq {
+            return;
+        }
+        let d = d2.sqrt();
+        if d < self.d || (d == self.d && self.q.is_none_or(|b| q < b)) {
+            self.d = d;
+            self.q = Some(q);
+            self.sq = sq_prefilter_bound(d);
+        }
+    }
+}
+
+impl<T: SpatialPartition + ?Sized> DeltaSearch<'_, T> {
+    /// δ and µ of point `p` — the best-first search of Algorithm 6, seeded
+    /// from `p`'s home leaf (see the module docs).
+    fn delta_one(&self, p: PointId, scratch: &mut QueryScratch) -> (f64, Option<PointId>) {
+        let Some(root) = self.tree.root() else {
+            return (0.0, None);
+        };
+        let (tree, leaves, config) = (self.tree, self.leaves, self.config);
+        let query = self.dataset.point(p);
+        let rho_p = self.order.rho()[p];
+        let stats = &mut scratch.stats;
+        let mut best = Candidate {
+            d: f64::INFINITY,
+            sq: f64::INFINITY,
+            q: None,
+        };
+
+        // The home leaf holds p's nearest neighbours more often than any
+        // other node, so scanning it first gives distance pruning a finite
+        // bound before the first node is opened.
+        let home = leaves.home[p];
+        let home_node = leaves.nodes[home as usize];
+        stats.nodes_visited += 1;
+        self.scan_leaf(home, p, &mut best, stats);
+
+        // Min-heap on dmin²: the node most likely to contain the dependent
+        // neighbour is explored first, so the candidate δ shrinks quickly and
+        // distance pruning bites early. The heap is per-worker scratch —
+        // cleared (it may hold leftovers from an early-terminated previous
+        // query) but never re-allocated.
+        let heap = &mut scratch.heap;
+        heap.clear();
+        if root != home_node {
+            heap.push(Reverse((
+                OrdF64(leaves.boxes[root].min_dist_squared(query)),
+                root,
+            )));
+        }
+        while let Some(Reverse((OrdF64(dmin2), node))) = heap.pop() {
+            // Squaring is monotone and `best.sq` pads `best.d²`, so a node
+            // holding a point that could tie the candidate always passes.
+            if config.distance_pruning && dmin2 > best.sq {
+                // The heap is ordered by dmin², so every remaining node is at
+                // least this far: nothing can improve the candidate any more.
+                stats.nodes_distance_pruned += heap.len() as u64 + 1;
+                break;
+            }
+            stats.nodes_visited += 1;
+            let leaf = leaves.of_node[node];
+            if leaf != NOT_A_LEAF {
+                self.scan_leaf(leaf, p, &mut best, stats);
+                continue;
+            }
+            for &c in tree.children(node) {
+                if c == home_node {
+                    continue;
+                }
+                if config.density_pruning && self.maxrho[c] < rho_p {
+                    stats.nodes_density_pruned += 1;
+                    continue;
+                }
+                let child_dmin2 = leaves.boxes[c].min_dist_squared(query);
+                if config.distance_pruning && child_dmin2 > best.sq {
+                    stats.nodes_distance_pruned += 1;
+                    continue;
+                }
+                heap.push(Reverse((OrdF64(child_dmin2), c)));
+            }
+        }
+
+        match best.q {
+            Some(q) => (best.d, Some(q)),
+            None => {
+                // No denser point exists: p is the global peak. Its δ is the
+                // maximum distance to any other point (original DPC
+                // convention). Maximising the squared distance and taking one
+                // root at the end gives exactly the same value (sqrt is
+                // monotone) without a root per point.
+                let max_sq = self
+                    .dataset
+                    .points()
+                    .iter()
+                    .map(|q| q.distance_squared(&query))
+                    .fold(0.0f64, f64::max);
+                (max_sq.sqrt(), None)
+            }
+        }
+    }
+
+    /// Offers `p` every denser entry of leaf `leaf`. The entries are sorted
+    /// densest-first, so with density pruning the scan stops at the first
+    /// one that is not denser than `p` (`p` itself, in its home leaf).
+    #[inline]
+    fn scan_leaf(&self, leaf: u32, p: PointId, best: &mut Candidate, stats: &mut QueryStats) {
+        let leaves = self.leaves;
+        let range = leaves.range(leaf);
+        let query = self.dataset.point(p);
+        let rho_p = self.order.rho()[p];
+        let tie = self.order.tie_break();
+        let entries = leaves.pts[range.clone()]
+            .iter()
+            .zip(&leaves.ids[range.clone()])
+            .zip(&leaves.rho[range]);
+        for ((pt, &q), &rho_q) in entries {
+            let q = q as PointId;
+            // `DensityOrder::is_denser` on the density the entry carries.
+            let denser = rho_q > rho_p
+                || (rho_q == rho_p
+                    && match tie {
+                        TieBreak::SmallerIdDenser => q < p,
+                        TieBreak::LargerIdDenser => q > p,
+                    });
+            if !denser && self.config.density_pruning {
+                break;
+            }
+            stats.points_scanned += 1;
+            let d2 = pt.distance_squared(&query);
+            if denser {
+                best.offer(q, d2);
+            }
+        }
+    }
 }
 
 /// A tree index's [`DpcIndex::rho_query`] with its traversal statistics:
@@ -490,121 +881,21 @@ pub(crate) fn tree_delta_query<T: SpatialPartition + DpcIndex + Sync + ?Sized>(
     ))
 }
 
-/// Ordered f64 wrapper so `BinaryHeap` can prioritise by `dmin`.
+/// Ordered f64 wrapper so `BinaryHeap` can prioritise by `dmin²`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrdF64(f64);
 
 impl Eq for OrdF64 {}
 
 impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
-    }
-}
-
-/// δ and µ of a single point — the best-first search of Algorithm 6.
-///
-/// All node comparisons and the final point comparison use *true* Euclidean
-/// distances: the candidate δ is consumed by triangle-inequality-based
-/// reasoning downstream, which squared distances cannot serve (see
-/// [`dpc_core::metric`]). The leaf scan only *prefilters* on squared
-/// distances ([`sq_prefilter_bound`]), so a point whose root could still tie
-/// the candidate always reaches the `(distance, id)` comparison.
-pub fn delta_one<T: SpatialPartition + ?Sized>(
-    tree: &T,
-    dataset: &Dataset,
-    order: &DensityOrder<'_>,
-    maxrho: &[Rho],
-    p: PointId,
-    config: &DeltaQueryConfig,
-    scratch: &mut QueryScratch,
-) -> (f64, Option<PointId>) {
-    let Some(root) = tree.root() else {
-        return (0.0, None);
-    };
-    let query = dataset.point(p);
-    let pts = dataset.points();
-    let rho_p = order.rho()[p];
-    let stats = &mut scratch.stats;
-
-    let mut best_d = f64::INFINITY;
-    let mut best_q: Option<PointId> = None;
-    // Squared-distance prefilter for the leaf scan: a point with
-    // `d2 > best_sq` has a root above `best_d`, so it can neither beat nor
-    // tie the candidate and is skipped before the density test and the root.
-    let mut best_sq = f64::INFINITY;
-
-    // Min-heap on dmin: the node most likely to contain the dependent
-    // neighbour is explored first, so the candidate δ shrinks quickly and
-    // distance pruning bites early. The heap is per-worker scratch — cleared
-    // (it may hold leftovers from an early-terminated previous query) but
-    // never re-allocated.
-    let heap = &mut scratch.heap;
-    heap.clear();
-    heap.push(Reverse((OrdF64(tree.bbox(root).min_dist(query)), root)));
-
-    while let Some(Reverse((OrdF64(dmin), node))) = heap.pop() {
-        if config.distance_pruning && dmin > best_d {
-            // The heap is ordered by dmin, so every remaining node is at
-            // least this far: nothing can improve the candidate any more.
-            stats.nodes_distance_pruned += heap.len() as u64 + 1;
-            break;
-        }
-        stats.nodes_visited += 1;
-        if tree.is_leaf(node) {
-            for &q in tree.points(node) {
-                let q = q as PointId;
-                stats.points_scanned += 1;
-                let d2 = pts[q].distance_squared(&query);
-                if d2 > best_sq || q == p || !order.is_denser(q, p) {
-                    continue;
-                }
-                let d = d2.sqrt();
-                // Lexicographic (distance, id) comparison keeps µ identical
-                // to the list-based indices and the baseline when several
-                // denser neighbours are equidistant.
-                if d < best_d || (d == best_d && best_q.is_none_or(|b| q < b)) {
-                    best_d = d;
-                    best_q = Some(q);
-                    best_sq = sq_prefilter_bound(d);
-                }
-            }
-        } else {
-            for &c in tree.children(node) {
-                if config.density_pruning && maxrho[c] < rho_p {
-                    stats.nodes_density_pruned += 1;
-                    continue;
-                }
-                let child_dmin = tree.bbox(c).min_dist(query);
-                if config.distance_pruning && child_dmin > best_d {
-                    stats.nodes_distance_pruned += 1;
-                    continue;
-                }
-                heap.push(Reverse((OrdF64(child_dmin), c)));
-            }
-        }
-    }
-
-    match best_q {
-        Some(q) => (best_d, Some(q)),
-        None => {
-            // No denser point exists: p is the global peak. Its δ is the
-            // maximum distance to any other point (original DPC convention).
-            // Maximising the squared distance and taking one root at the end
-            // gives exactly the same value (sqrt is monotone) without a root
-            // per point.
-            let max_sq = pts
-                .iter()
-                .map(|q| q.distance_squared(&query))
-                .fold(0.0f64, f64::max);
-            (max_sq.sqrt(), None)
-        }
     }
 }
 
@@ -718,6 +1009,27 @@ mod tests {
             stats_pruned.points_scanned,
             stats_full.points_scanned
         );
+        // No pruning is the exhaustive baseline: every point opens every
+        // node and scans every point of every leaf — the densest-first early
+        // stop is density pruning too, so it is off as well.
+        let n = data.len() as u64;
+        assert_eq!(stats_full.points_scanned, n * n);
+        assert_eq!(stats_full.nodes_visited, n * part.num_nodes() as u64);
+        assert_eq!(stats_full.nodes_density_pruned, 0);
+        assert_eq!(stats_full.nodes_distance_pruned, 0);
+
+        // Density pruning alone off: the results still agree, and the leaf
+        // scans still run to the end of each leaf.
+        let distance_only = DeltaQueryConfig {
+            density_pruning: false,
+            distance_pruning: true,
+        };
+        let (distance_pruned, stats_distance) =
+            delta_seq(&part, &data, &order, &maxrho, &distance_only);
+        assert_eq!(distance_pruned.mu, with_pruning.mu);
+        assert_eq!(distance_pruned.delta, with_pruning.delta);
+        assert_eq!(stats_distance.nodes_density_pruned, 0);
+        assert!(stats_distance.points_scanned > stats_pruned.points_scanned);
     }
 
     /// Every tree index over `coords`, each with tiny leaves so that even a

@@ -11,13 +11,26 @@
 //! * return bit-identical results with a `MetricsRecorder` attached;
 //! * and, for the tree indexes, publish their traversal counters and
 //!   per-worker chunk spans to that recorder.
+//!
+//! The leaf-local tree queries get a battery of their own: every tree index,
+//! with default and with tiny leaves, on inputs full of duplicate points,
+//! at a tiny, a mid and a beyond-the-diameter `dc`, and the R-tree and k-d tree
+//! again after deletions. Cut-off ρ and δ/µ must equal
+//! `NaiveReferenceIndex` bit for bit at threads {1, 2, 7}, and the
+//! traversal counters must not depend on the thread count.
 
 use density_peaks::core::index::weighted_rho_scan;
 use density_peaks::core::naive_reference::NaiveReferenceIndex;
-use density_peaks::core::{DeltaResult, ExecPolicy, Kernel, Query, Rho};
+use density_peaks::core::{DeltaResult, DensityOrder, ExecPolicy, Kernel, Query, Rho};
 use density_peaks::prelude::*;
-use dpc_obs::MetricsRecorder;
+use density_peaks::tree_index::query::subtree_max_density;
+use density_peaks::tree_index::{
+    delta_query_recorded, rho_query_recorded, DeltaQueryConfig, GridConfig, KdTreeConfig,
+    QuadtreeConfig, QueryStats, RTreeConfig, SpatialPartition,
+};
+use dpc_obs::{MetricsRecorder, NoopRecorder};
 use proptest::prelude::*;
+use proptest::TestCaseResult;
 
 /// Every `DpcIndex` implementation, and whether it is a tree index.
 fn every_index(data: &Dataset) -> Vec<(&'static str, bool, Box<dyn DpcIndex>)> {
@@ -140,5 +153,138 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The ρ- and δ-query traversal counters at one `dc` and thread count.
+type Work = (QueryStats, QueryStats);
+
+/// Checks one tree index's cut-off ρ and δ/µ against `NaiveReferenceIndex`
+/// on the index's own dataset, at threads {1, 2, 7}, and that the traversal
+/// counters do not depend on the thread count.
+fn check_leaf_local_queries<T: SpatialPartition + DpcIndex + Sync>(
+    name: &str,
+    tree: &T,
+    dcs: &[f64],
+) -> TestCaseResult {
+    let data = tree.dataset();
+    let naive = NaiveReferenceIndex::build(data);
+    for &dc in dcs {
+        let expected_rho = naive.rho(dc).unwrap();
+        let expected = naive.delta(dc, &expected_rho).unwrap();
+        let order = DensityOrder::with_tie_break(&expected_rho, tree.tie_break());
+        let maxrho = subtree_max_density(tree, &expected_rho);
+        let config = DeltaQueryConfig::default();
+        let mut work: Option<Work> = None;
+        for threads in [1, 2, 7] {
+            let exec = ExecPolicy::Threads(threads);
+            let (rho, rho_stats) = rho_query_recorded(tree, data, dc, exec, &NoopRecorder);
+            prop_assert_eq!(
+                bits(&rho),
+                bits(&expected_rho),
+                "{} ρ, dc = {}, threads = {}",
+                name,
+                dc,
+                threads
+            );
+            let (deltas, delta_stats) =
+                delta_query_recorded(tree, data, &order, &maxrho, &config, exec, &NoopRecorder);
+            prop_assert!(
+                same_deltas(&deltas, &expected),
+                "{} δ/µ, dc = {}, threads = {}",
+                name,
+                dc,
+                threads
+            );
+            match work {
+                None => work = Some((rho_stats, delta_stats)),
+                Some(w) => prop_assert_eq!(
+                    w,
+                    (rho_stats, delta_stats),
+                    "{} counters, dc = {}, threads = {}",
+                    name,
+                    dc,
+                    threads
+                ),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A lattice point set with every third point repeated, so coincident
+/// points (δ = 0 ties broken by id) sit in every leaf size.
+fn with_duplicates(points: Vec<(f64, f64)>) -> Dataset {
+    let repeats: Vec<(f64, f64)> = points.iter().step_by(3).copied().collect();
+    Dataset::from_coords(points.into_iter().chain(repeats))
+}
+
+/// `dc` tiny (almost every ρ is 0, so the tie-break decides µ), the drawn
+/// mid value, and beyond the bounding-box diameter (every node fits the
+/// query circle of every point).
+///
+/// The large values stay clear of the diameter itself: a `dc` equal to the
+/// rounded distance of a point pair is where the reference's `dist < dc`
+/// and the tree indexes' `dist² < dc²` can disagree, whichever way the
+/// queries traverse.
+fn dc_sweep(data: &Dataset, mid: f64) -> [f64; 4] {
+    let diameter = data.bbox_diameter().max(1e-3);
+    [1e-3, mid, diameter * 1.01, diameter * 2.0]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn leaf_local_tree_queries_match_the_naive_reference_at_every_thread_count(
+        points in points_strategy(),
+        mid in 0.3f64..25.0
+    ) {
+        let data = with_duplicates(points);
+        let dcs = dc_sweep(&data, mid);
+        // Default leaves, and leaves of a few points so even small inputs
+        // spread over several levels.
+        check_leaf_local_queries("quadtree", &Quadtree::build(&data), &dcs)?;
+        check_leaf_local_queries("rtree", &RTree::build(&data), &dcs)?;
+        check_leaf_local_queries("kdtree", &KdTree::build(&data), &dcs)?;
+        check_leaf_local_queries("grid", &GridIndex::build(&data), &dcs)?;
+        let quad = QuadtreeConfig { node_capacity: 2, ..QuadtreeConfig::default() };
+        check_leaf_local_queries("quadtree/2", &Quadtree::with_config(&data, &quad), &dcs)?;
+        let rtree = RTreeConfig { node_capacity: 3, ..RTreeConfig::default() };
+        check_leaf_local_queries("rtree/3", &RTree::with_config(&data, &rtree), &dcs)?;
+        let kd = KdTreeConfig { leaf_capacity: 2, ..KdTreeConfig::default() };
+        check_leaf_local_queries("kdtree/2", &KdTree::with_config(&data, &kd), &dcs)?;
+        let grid = GridConfig { target_points_per_cell: 2, ..GridConfig::default() };
+        check_leaf_local_queries("grid/2", &GridIndex::with_config(&data, &grid), &dcs)?;
+    }
+
+    #[test]
+    fn leaf_local_tree_queries_survive_deletions(
+        points in points_strategy(),
+        mid in 0.3f64..25.0
+    ) {
+        let data = with_duplicates(points);
+        // Small nodes and no rebuilds: deletions leave stale boxes and
+        // emptied nodes behind (the R-tree also dissolves underfull leaves
+        // and reinserts their survivors).
+        let rtree = RTreeConfig { node_capacity: 3, ..RTreeConfig::default() };
+        let kd = KdTreeConfig {
+            leaf_capacity: 2,
+            rebuild_imbalance: 1.0,
+            rebuild_dead_fraction: f64::INFINITY,
+            ..KdTreeConfig::default()
+        };
+        let mut rtree = RTree::with_config(&data, &rtree);
+        let mut kdtree = KdTree::with_config(&data, &kd);
+        // Every third point from the top, so some leaves empty out.
+        let doomed: Vec<usize> = (0..data.len()).rev().step_by(3).collect();
+        for &id in &doomed {
+            rtree.remove(id).unwrap();
+            kdtree.remove(id).unwrap();
+        }
+        prop_assert_eq!(rtree.dataset(), kdtree.dataset());
+        let dcs = dc_sweep(rtree.dataset(), mid);
+        check_leaf_local_queries("rtree after deletions", &rtree, &dcs)?;
+        check_leaf_local_queries("kdtree after deletions", &kdtree, &dcs)?;
     }
 }
