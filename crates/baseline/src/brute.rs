@@ -8,14 +8,14 @@
 //! Callers validate `dc` and the `rho` slice before calling.
 
 use dpc_core::index::delta_point_scan;
-use dpc_core::{exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, Rho};
+use dpc_core::{dc_sq_threshold, exec, Dataset, DeltaResult, DensityOrder, ExecPolicy, Rho};
 
 /// ρ of every point by full scan: counts points strictly within `dc`,
 /// excluding the point itself.
 pub(crate) fn rho_scan(dataset: &Dataset, dc: f64, policy: ExecPolicy) -> Vec<Rho> {
     let n = dataset.len();
     let (xs, ys) = dataset.coord_slices();
-    let dc2 = dc * dc;
+    let dc2 = dc_sq_threshold(dc);
     let mut rho = vec![0 as Rho; n];
     exec::fill_slice(
         &mut rho,

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use dpc_core::index::{eps_neighbors_scan, validate_dc, validate_rho_len, weighted_rho_scan};
 use dpc_core::{
-    Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Point, PointId, Query, Result, Rho,
-    TieBreak, Timer, UpdatableIndex,
+    dc_sq_threshold, Dataset, DeltaResult, DensityOrder, DpcIndex, IndexStats, Point, PointId,
+    Query, Result, Rho, TieBreak, Timer, UpdatableIndex,
 };
 
 /// The memory-lean O(n²)-time baseline.
@@ -59,7 +59,7 @@ impl DpcIndex for LeanDpc {
         }
         let pts = self.dataset.points();
         let n = pts.len();
-        let dc2 = q.dc * q.dc;
+        let dc2 = dc_sq_threshold(q.dc);
         let mut rho = vec![0.0 as Rho; n];
         for i in 0..n {
             for j in (i + 1)..n {

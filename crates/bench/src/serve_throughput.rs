@@ -163,8 +163,14 @@ fn measure(options: &ServeBenchOptions, readers: usize, data: &Dataset) -> Serve
                         SplitMix64::new(0xBE4C_4E21 ^ (i as u64).wrapping_mul(0x9E37_79B9));
                     let mut tally = ReaderTally::default();
                     let mut seen = reader.epoch();
-                    while !stop.load(Ordering::Acquire) {
-                        match rng.next_u64() % 3 {
+                    // One query of every family first, so a replay that
+                    // ends before the reader is scheduled still measures
+                    // all three.
+                    let mut sent = 0u64;
+                    while sent < 3 || !stop.load(Ordering::Acquire) {
+                        let family = if sent < 3 { sent } else { rng.next_u64() % 3 };
+                        sent += 1;
+                        match family {
                             0 => {
                                 let snap = reader.current();
                                 if snap.is_empty() {

@@ -809,8 +809,14 @@ fn serve_replay<I: UpdatableIndex>(
                     );
                     let mut tally = ReaderTally::default();
                     let mut seen = reader.epoch();
-                    while !stop.load(Ordering::Acquire) {
-                        match rng.next_u64() % 3 {
+                    // Each reader opens with one query of every family, so
+                    // even a replay that ends before the reader is first
+                    // scheduled reports (and traces) all three.
+                    let mut sent = 0u64;
+                    while sent < 3 || !stop.load(Ordering::Acquire) {
+                        let family = if sent < 3 { sent } else { rng.next_u64() % 3 };
+                        sent += 1;
+                        match family {
                             0 => {
                                 let snap = reader.current();
                                 if snap.is_empty() {

@@ -19,7 +19,7 @@ use crate::density::Rho;
 use crate::error::{DpcError, Result};
 use crate::exec::ExecPolicy;
 use crate::kernel::Kernel;
-use crate::metric::sq_prefilter_bound;
+use crate::metric::{dc_sq_threshold, sq_prefilter_bound};
 use crate::point::{Dataset, Point, PointId};
 use dpc_obs::{NoopRecorder, Recorder};
 
@@ -381,6 +381,43 @@ pub trait UpdatableIndex: DpcIndex {
         Ok(())
     }
 
+    /// δ and µ of every point in `targets` under the density order of `rho`
+    /// (this index's [`tie_break`](DpcIndex::tie_break)), each exactly what
+    /// [`delta_query`](DpcIndex::delta_query) would return for it, plus the
+    /// number of squared distances computed on the way.
+    ///
+    /// This is the streaming engine's per-epoch recompute of its invalidation
+    /// set: a few dozen points out of the whole window. The default runs
+    /// [`delta_point_scan`] per target, `n − 1` distances each; the tree
+    /// indexes override it with the pruned best-first search of their
+    /// δ-query. Targets are spread over `q.exec`'s workers, and results are
+    /// bit-identical at every thread count.
+    ///
+    /// Returns [`DpcError::InvalidParameter`] for an invalid `q.dc` or a
+    /// target out of range, and [`DpcError::LengthMismatch`] when `rho` does
+    /// not cover the dataset.
+    fn delta_targets(
+        &self,
+        q: &Query<'_>,
+        rho: &[Rho],
+        targets: &[PointId],
+    ) -> Result<TargetDeltas> {
+        validate_targets(q.dc, rho, targets, self.len())?;
+        let dataset = self.dataset();
+        let order = DensityOrder::with_tie_break(rho, self.tie_break());
+        let mut deltas = vec![(0.0, None); targets.len()];
+        crate::exec::fill_slice(
+            &mut deltas,
+            q.exec,
+            || (),
+            |k, ()| delta_point_scan(dataset, &order, targets[k]),
+        );
+        Ok(TargetDeltas {
+            deltas,
+            dist_evals: targets.len() as u64 * self.len().saturating_sub(1) as u64,
+        })
+    }
+
     /// Ids of all points strictly within `eps` of `center`, ascending.
     ///
     /// Strictness matches the ρ definition (`dist < eps`), so
@@ -415,6 +452,31 @@ pub trait UpdatableIndex: DpcIndex {
     fn check_invariants(&self) {}
 }
 
+/// The answer of [`UpdatableIndex::delta_targets`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct TargetDeltas {
+    /// `(δ, µ)` of each target, in the order the targets were given.
+    pub deltas: Vec<(f64, Option<PointId>)>,
+    /// Squared point-to-point distances computed to answer the query.
+    /// Depends only on the index, the data and the targets, never on the
+    /// thread count.
+    pub dist_evals: u64,
+}
+
+/// Validates the arguments of [`UpdatableIndex::delta_targets`] against an
+/// index of `n` points.
+pub fn validate_targets(dc: f64, rho: &[Rho], targets: &[PointId], n: usize) -> Result<()> {
+    validate_dc(dc)?;
+    validate_rho_len(rho, n)?;
+    match targets.iter().find(|&&p| p >= n) {
+        Some(p) => Err(DpcError::invalid_parameter(
+            "targets",
+            format!("target point id {p} is out of range (n = {n})"),
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Brute-force ε-range scan over the structure-of-arrays coordinate slices:
 /// ids of all points strictly within `eps` of `center`, ascending.
 ///
@@ -426,7 +488,7 @@ pub trait UpdatableIndex: DpcIndex {
 pub fn eps_neighbors_scan(dataset: &Dataset, center: Point, eps: f64) -> Result<Vec<PointId>> {
     validate_dc(eps)?;
     let (xs, ys) = dataset.coord_slices();
-    let eps2 = eps * eps;
+    let eps2 = dc_sq_threshold(eps);
     Ok((0..dataset.len())
         .filter(|&q| {
             let (dx, dy) = (xs[q] - center.x, ys[q] - center.y);
@@ -505,7 +567,7 @@ pub fn weighted_rho_scan(
     kernel.validate()?;
     let n = dataset.len();
     let (xs, ys) = dataset.coord_slices();
-    let dc2 = dc * dc;
+    let dc2 = dc_sq_threshold(dc);
     let mut rho = vec![0.0 as Rho; n];
     crate::exec::fill_slice(
         &mut rho,

@@ -22,8 +22,8 @@
 //! *independent* of the index choice:
 //!
 //! * [`Point`], [`Dataset`], [`BoundingBox`] — the data model,
-//! * [`sq_prefilter_bound`] and the rule for where squared distances are
-//!   safe ([`metric`]),
+//! * [`sq_prefilter_bound`], [`dc_sq_threshold`] and the rule for where
+//!   squared distances are safe ([`metric`]),
 //! * [`DensityOrder`] — the total order on densities used for `δ`,
 //! * [`DpcIndex`] — the trait implemented by every index, asked every
 //!   query through one [`Query`],
@@ -84,9 +84,9 @@ pub use delta::{DeltaResult, DensityOrder, TieBreak};
 pub use density::{DensityEstimate, Rho};
 pub use error::{DpcError, Result};
 pub use exec::ExecPolicy;
-pub use index::{BatchOp, DpcIndex, IndexStats, Query, UpdatableIndex};
+pub use index::{BatchOp, DpcIndex, IndexStats, Query, TargetDeltas, UpdatableIndex};
 pub use kernel::Kernel;
-pub use metric::sq_prefilter_bound;
+pub use metric::{dc_sq_threshold, sq_prefilter_bound};
 pub use params::DpcParams;
 pub use pipeline::{cluster_with_index, DpcPipeline, DpcRun};
 pub use point::{Dataset, Point, PointId};

@@ -16,7 +16,7 @@
 //! The suite is written to pass under `--release` (CI runs it there);
 //! counts are sized so it also finishes quickly in debug.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -51,15 +51,24 @@ fn readers_never_observe_torn_snapshots() {
     let mut server = Server::new(seeded_engine(7), 64);
     let readers: Vec<_> = (0..4).map(|_| server.reader()).collect();
     let stop = AtomicBool::new(false);
+    // Readers that have observed at least one snapshot. The writer holds
+    // `stop` back until every reader has, so a reader scheduled late on a
+    // busy machine still races the writer instead of finding the replay
+    // already over.
+    let observing = AtomicUsize::new(0);
+    let reader_count = readers.len();
 
     let (final_epoch, reader_epochs) = thread::scope(|s| {
-        let stop = &stop;
+        let (stop, observing) = (&stop, &observing);
         let writer = s.spawn(move || {
             for batch in arrivals(7, epochs, 3) {
                 // Slide the window: 3 in, 2 out per epoch.
                 server.engine_mut().advance(&batch, 2).unwrap();
             }
             let final_epoch = server.engine().epoch();
+            while observing.load(Ordering::Acquire) < reader_count {
+                thread::yield_now();
+            }
             stop.store(true, Ordering::Release);
             final_epoch
         });
@@ -78,6 +87,9 @@ fn readers_never_observe_torn_snapshots() {
                             snap.epoch()
                         );
                         last = snap.epoch();
+                        if observed == 0 {
+                            observing.fetch_add(1, Ordering::Release);
+                        }
                         observed += 1;
                         // Mixed queries racing the writer. Answers may come
                         // from a newer epoch than `snap` (the query refreshes

@@ -32,9 +32,10 @@
 //!    inserted points, survivors renamed to a smaller id by a swap-remove,
 //!    points whose µ expired, was renamed, or sits in `U` (found by a single
 //!    µ scan that also renames surviving µ ids), and the old and new global
-//!    peaks — is
-//!    recomputed from scratch; everyone else min-folds the candidate
-//!    entrants (`U` ∪ inserted ∪ renamed). When `|F|` exceeds
+//!    peaks — is recomputed from scratch by the index's per-target δ-query
+//!    ([`UpdatableIndex::delta_targets`]); everyone else min-folds the
+//!    candidate entrants (`U` ∪ inserted ∪ renamed), grouped under tight
+//!    boxes so a point skips every group beyond its δ. When `|F|` exceeds
 //!    [`StreamParams::max_affected_fraction`] of the window the engine falls
 //!    back to one full δ/µ recomputation for the epoch: the index's own
 //!    δ-query, the one the cold batch pipeline runs.
@@ -64,7 +65,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dpc_core::index::delta_point_scan;
 use dpc_core::{
     assign_clusters, BatchOp, Clustering, DecisionGraph, DeltaResult, DensityOrder, DpcError,
     DpcParams, Kernel, Point, PointId, Query, Result, Rho, StateSnapshot, UpdatableIndex,
@@ -73,7 +73,7 @@ use dpc_obs::{span, AttrValue, SharedRecorder};
 
 use crate::epoch::{EpochPlan, PlanOp};
 use crate::handle::{Handle, HandleMap};
-use crate::maintenance::{candidate_pass, recompute_targets};
+use crate::maintenance::candidate_pass;
 use crate::policy::{CommitPolicy, CostModel, EpochMode, Prediction};
 use crate::report::{ClusterDelta, LabelChange};
 use crate::snapshot::{EpochSnapshot, SnapshotSink};
@@ -476,12 +476,12 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         let n = index.len();
         // One-shot calibration: the seeding batch query is exactly what a
         // rebuild epoch pays per window point, its δ half is what a fallback
-        // epoch pays, and a handful of brute-force δ probes (the incremental
-        // repair kernel) measure the incremental path's per-point cost. All
-        // are timed here regardless of policy — the probes cost
-        // O(CALIBRATION_PROBES · n), less than the seeding query itself — so
-        // [`set_policy`](Self::set_policy) can flip to `Adaptive` mid-stream
-        // and find a live model.
+        // epoch pays, and one per-target δ-query over a handful of probe
+        // points (the incremental repair kernel) measures the incremental
+        // path's per-point cost. All are timed here regardless of policy —
+        // the probes cost at most O(CALIBRATION_PROBES · n), less than the
+        // seeding query itself — so [`set_policy`](Self::set_policy) can flip
+        // to `Adaptive` mid-stream and find a live model.
         let seeding = Instant::now();
         let (rho, deltas, delta_started) = if n == 0 {
             (Vec::new(), DeltaResult::unset(0), seeding)
@@ -494,8 +494,7 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
         };
         let per_point = |t: Instant| t.elapsed().as_micros() as f64 / n.max(1) as f64;
         let (rebuild_us, fallback_us) = (per_point(seeding), per_point(delta_started));
-        let order = DensityOrder::with_tie_break(&rho, params.dpc.tie_break);
-        let peak = order.global_peak();
+        let peak = DensityOrder::with_tie_break(&rho, params.dpc.tie_break).global_peak();
         let inc_us = if n == 0 {
             0.0
         } else {
@@ -503,10 +502,9 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             // one dense corner of it.
             let probes = CALIBRATION_PROBES.min(n);
             let stride = n / probes;
+            let targets: Vec<PointId> = (0..probes).map(|k| k * stride).collect();
             let probing = Instant::now();
-            for k in 0..probes {
-                std::hint::black_box(delta_point_scan(index.dataset(), &order, k * stride));
-            }
+            std::hint::black_box(index.delta_targets(&params.dpc.query(), &rho, &targets)?);
             probing.elapsed().as_micros() as f64 / probes as f64
         };
         // An update invalidates its ε-neighbourhood plus itself: mean ρ + 1.
@@ -1285,8 +1283,18 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
             self.deltas = self.index.delta_query(&q, &self.rho)?;
             EpochMode::Fallback
         } else {
-            let order = DensityOrder::with_tie_break(&self.rho, tie);
-            let dataset = self.index.dataset();
+            let recompute_span = span(&rec, "stream.phase.delta_repair.recompute");
+            let recomputed = self.index.delta_targets(
+                &self.params.dpc.query(),
+                &self.rho,
+                &scratch.invalidated,
+            )?;
+            for (&p, &(d, mu)) in scratch.invalidated.iter().zip(&recomputed.deltas) {
+                self.deltas.delta[p] = d;
+                self.deltas.mu[p] = mu;
+            }
+            drop(recompute_span);
+            let candidates_span = span(&rec, "stream.phase.delta_repair.candidates");
             scratch.skip.clear();
             scratch.skip.resize(n, false);
             for &f in &scratch.invalidated {
@@ -1298,20 +1306,19 @@ impl<I: UpdatableIndex> StreamingDpc<I> {
                 .candidates
                 .extend_from_slice(&scratch.inserted_final);
             scratch.candidates.extend_from_slice(&scratch.renamed);
-            candidate_pass(
-                dataset,
-                &order,
+            let folded = candidate_pass(
+                self.index.dataset(),
+                &DensityOrder::with_tie_break(&self.rho, tie),
                 &scratch.candidates,
                 &scratch.skip,
+                dc,
                 &mut self.deltas,
                 self.params.dpc.exec,
             );
-            recompute_targets(
-                dataset,
-                &order,
-                &scratch.invalidated,
-                &mut self.deltas,
-                self.params.dpc.exec,
+            drop(candidates_span);
+            rec.counter(
+                "stream.delta_repair.dist_evals",
+                recomputed.dist_evals + folded,
             );
             EpochMode::Incremental
         };

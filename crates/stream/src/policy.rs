@@ -22,7 +22,8 @@
 //! the measured invalidation-set size per plan operation. All four are
 //! seeded by a one-shot calibration inside `StreamingDpc::new` — the seeding
 //! batch query is timed for the rebuild rate and its δ half for the fallback
-//! rate, a handful of brute-force δ probes for the incremental rate, and the
+//! rate, a per-target δ-query over a handful of probe points for the
+//! incremental rate, and the
 //! mean ρ for the union prior — and then updated online from observed epoch
 //! timings, so the model tracks the actual window
 //! size, point distribution and machine. Whichever path is taken, the
@@ -160,7 +161,8 @@ pub struct CostModel {
 impl CostModel {
     /// Seeds the model from the one-shot calibration of
     /// `StreamingDpc::new`: the timed seeding batch query (`rebuild_us` per
-    /// point), timed brute-force δ probes (`inc_us` per point), the timed δ
+    /// point), a timed per-target δ-query over probe points (`inc_us` per
+    /// point), the timed δ
     /// half of the seeding query (`fallback_us` per point) and the mean ρ
     /// plus one as the union prior (an update invalidates its
     /// ε-neighbourhood plus itself).

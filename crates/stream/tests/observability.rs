@@ -236,3 +236,40 @@ fn maintenance_counters_surface_as_gauges() {
     assert!(snap.histogram("stream.epoch.maintenance_us").is_some());
     assert!(snap.histogram("stream.phase.validate_us").is_some());
 }
+
+#[test]
+fn incremental_delta_repair_reports_both_passes_and_a_thread_invariant_distance_count() {
+    // A 120-point lattice window slid one point per epoch: small
+    // invalidation sets, so every epoch repairs incrementally.
+    let seed: Vec<Point> = (0..120u32).map(|i| lattice_point(i % 12, i / 12)).collect();
+    let mut counts = Vec::new();
+    for threads in [1usize, 3] {
+        let metrics = Arc::new(MetricsRecorder::new());
+        let params = StreamParams::new(1.5)
+            .with_policy(CommitPolicy::AlwaysIncremental)
+            .with_dpc(dpc_core::DpcParams::new(1.5).with_threads(threads));
+        let mut engine = StreamingDpc::new(small_kdtree(seed.clone()), params).unwrap();
+        engine.set_recorder(metrics.clone());
+        for k in 0..30u32 {
+            let oldest = engine.oldest().unwrap();
+            engine.remove(oldest).unwrap();
+            engine.insert(lattice_point(k % 12, 10 + k / 12)).unwrap();
+        }
+        let snap = metrics.snapshot();
+        let incremental = snap.counter("stream.epochs.incremental").unwrap_or(0);
+        assert!(incremental > 0, "threads {threads}: no incremental epoch");
+        for pass in ["recompute", "candidates"] {
+            let spans = snap
+                .histogram(&format!("stream.phase.delta_repair.{pass}_us"))
+                .map_or(0, |h| h.count());
+            assert_eq!(spans, incremental, "threads {threads}: {pass} spans");
+        }
+        let evals = snap.counter("stream.delta_repair.dist_evals").unwrap_or(0);
+        assert!(evals > 0, "threads {threads}");
+        counts.push(evals);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "the distance count depends on threads"
+    );
+}

@@ -12,12 +12,14 @@ use std::time::Duration;
 
 use dpc_core::index::validate_dc;
 use dpc_core::{
-    BoundingBox, Dataset, DeltaResult, DpcIndex, IndexStats, Point, PointId, Query, Result, Rho,
-    TieBreak, Timer, UpdatableIndex,
+    dc_sq_threshold, BoundingBox, Dataset, DeltaResult, DpcIndex, IndexStats, Point, PointId,
+    Query, Result, Rho, TargetDeltas, TieBreak, Timer, UpdatableIndex,
 };
 
 use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
-use crate::query::{tree_delta_query, tree_rho_query, DeltaQueryConfig, QueryStats};
+use crate::query::{
+    tree_delta_query, tree_delta_targets, tree_rho_query, DeltaQueryConfig, QueryStats,
+};
 
 /// Configuration of a [`GridIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -365,13 +367,22 @@ impl UpdatableIndex for GridIndex {
         Ok(())
     }
 
+    fn delta_targets(
+        &self,
+        q: &Query<'_>,
+        rho: &[Rho],
+        targets: &[PointId],
+    ) -> Result<TargetDeltas> {
+        tree_delta_targets(self, q, rho, targets, &self.config.delta)
+    }
+
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
         validate_dc(eps)?;
         let mut out = Vec::new();
         if self.dataset.is_empty() {
             return Ok(out);
         }
-        let eps2 = eps * eps;
+        let eps2 = dc_sq_threshold(eps);
         // The rectangle bounds are computed in rounded f64 arithmetic:
         // fl(center - eps) can round *up* across a cell boundary and
         // fl(center + eps) can round *down*, either of which would exclude
@@ -668,7 +679,7 @@ mod tests {
             let got = grid.eps_neighbors(center, eps).unwrap();
             let expected: Vec<usize> = data
                 .iter()
-                .filter(|(_, p)| p.distance_squared(&center) < eps * eps)
+                .filter(|(_, p)| p.distance(&center) < eps)
                 .map(|(id, _)| id)
                 .collect();
             assert_eq!(got, expected, "eps = {eps}");

@@ -37,11 +37,13 @@ use std::time::Duration;
 use dpc_core::index::validate_dc;
 use dpc_core::{
     BoundingBox, Dataset, DeltaResult, DpcError, DpcIndex, IndexStats, Point, PointId, Query,
-    Result, Rho, TieBreak, Timer, UpdatableIndex,
+    Result, Rho, TargetDeltas, TieBreak, Timer, UpdatableIndex,
 };
 
 use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
-use crate::query::{eps_query, tree_delta_query, tree_rho_query, DeltaQueryConfig, QueryStats};
+use crate::query::{
+    eps_query, tree_delta_query, tree_delta_targets, tree_rho_query, DeltaQueryConfig, QueryStats,
+};
 
 /// Configuration of a [`KdTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -676,6 +678,15 @@ impl UpdatableIndex for KdTree {
         self.subtree_rebuilds = subtree_rebuilds;
         self.full_rebuilds = full_rebuilds;
         Ok(())
+    }
+
+    fn delta_targets(
+        &self,
+        q: &Query<'_>,
+        rho: &[Rho],
+        targets: &[PointId],
+    ) -> Result<TargetDeltas> {
+        tree_delta_targets(self, q, rho, targets, &self.config.delta)
     }
 
     fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {

@@ -24,8 +24,8 @@
 //!
 //!   Both box-to-box bounds hold exactly in floating point, so every count
 //!   equals the per-point traversal's. The query is sqrt-free: it compares
-//!   squared distances against a precomputed `dc²` (see the safety
-//!   discussion in [`dpc_core::metric`]).
+//!   squared distances against the precomputed threshold
+//!   [`dc_sq_threshold`] (see the safety discussion in [`dpc_core::metric`]).
 //! * **δ-query** (Algorithm 6) sorts each leaf's copy densest-first. For a
 //!   point `p` it
 //!   1. scans `p`'s home leaf first, which seeds the candidate δ before any
@@ -38,13 +38,19 @@
 //!      tie it);
 //!   3. stops every leaf scan at the first entry that is not denser than `p`
 //!      — Lemma 1 inside a leaf, since every later entry is sparser still.
+//! * **per-target δ-query** ([`delta_targets_query`]) answers δ/µ for a
+//!   short list of points — the streaming engine's per-epoch recompute of
+//!   its invalidation set. It makes no leaf copy, whose sort would cost more
+//!   than a few dozen searches: each target runs the same best-first search
+//!   from the root on the tree's own nodes and unsorted point lists, and a
+//!   leaf scan tests each entry's squared distance before its density.
 //!
-//!   Squared distances only order the search and prune it. A point that
-//!   survives the prefilter is decided on its rounded true distance by the
-//!   `(distance, id)` rule, so µ on √-ties matches the list indices and the
-//!   baseline. δ itself stays a true metric distance: downstream consumers
-//!   combine it additively, which squared distances (no triangle inequality)
-//!   do not support.
+//! In both δ-queries squared distances only order the search and prune it.
+//! A point that survives the prefilter is decided on its rounded true
+//! distance by the `(distance, id)` rule, so µ on √-ties matches the list
+//! indices and the baseline. δ itself stays a true metric distance:
+//! downstream consumers combine it additively, which squared distances (no
+//! triangle inequality) do not support.
 //!
 //! # Work counters
 //!
@@ -62,6 +68,11 @@
 //!   Lemma 2's early exit. `points_scanned` counts the leaf entries whose
 //!   distance is computed: the denser prefix of each scanned leaf, or the
 //!   whole leaf with density pruning off.
+//! * per-target δ-query: as the δ-query without the home-leaf scans, except
+//!   that `points_scanned` counts every entry of every scanned leaf (the
+//!   lists are unsorted, so there is no early stop), plus `n` for a target
+//!   that is the global peak. It is exactly the number of squared distances
+//!   computed.
 //!
 //! The counters depend only on the tree, the data and the query, never on
 //! the thread count.
@@ -91,10 +102,10 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use dpc_core::index::{validate_dc, validate_rho_len};
+use dpc_core::index::{validate_dc, validate_rho_len, validate_targets};
 use dpc_core::{
-    exec, sq_prefilter_bound, BoundingBox, Dataset, DeltaResult, DensityOrder, DpcIndex,
-    ExecPolicy, Kernel, Point, PointId, Query, Result, Rho, TieBreak,
+    dc_sq_threshold, exec, sq_prefilter_bound, BoundingBox, Dataset, DeltaResult, DensityOrder,
+    DpcIndex, ExecPolicy, Kernel, Point, PointId, Query, Result, Rho, TargetDeltas, TieBreak,
 };
 
 use crate::common::{NodeId, SpatialPartition};
@@ -343,7 +354,7 @@ pub fn rho_query_recorded<T: SpatialPartition + Sync + ?Sized>(
     rec: &dyn dpc_obs::Recorder,
 ) -> (Vec<Rho>, QueryStats) {
     let leaves = Leaves::collect(tree, dataset, None);
-    let dc2 = dc * dc;
+    let dc2 = dc_sq_threshold(dc);
     let mut plans: Vec<LeafPlan> = (0..leaves.len()).map(|_| LeafPlan::default()).collect();
     let mut scratches = exec::fill_slice_recorded(
         &mut plans,
@@ -515,7 +526,7 @@ pub fn weighted_rho_one<T: SpatialPartition + ?Sized>(
     let Some(root) = tree.root() else { return 0.0 };
     let query = dataset.point(p);
     let pts = dataset.points();
-    let dc2 = dc * dc;
+    let dc2 = dc_sq_threshold(dc);
     let stats = &mut scratch.stats;
     let pairs = &mut scratch.pairs;
     pairs.clear();
@@ -574,7 +585,7 @@ pub fn eps_query<T: SpatialPartition + ?Sized>(
         return out;
     };
     let pts = dataset.points();
-    let eps2 = eps * eps;
+    let eps2 = dc_sq_threshold(eps);
     let mut stack = vec![root];
     while let Some(node) = stack.pop() {
         if tree.point_count(node) == 0 || tree.bbox(node).min_dist_squared(center) >= eps2 {
@@ -827,6 +838,155 @@ impl<T: SpatialPartition + ?Sized> DeltaSearch<'_, T> {
             }
         }
     }
+}
+
+/// δ and µ of each point in `targets` — the per-target δ-query behind every
+/// updatable tree index's [`dpc_core::UpdatableIndex::delta_targets`], which the
+/// streaming engine runs on its invalidation set once per epoch.
+///
+/// The whole-dataset [`delta_query_recorded`] first copies every leaf
+/// densest-first, an `O(n log n)` sort that a few dozen targets never pay
+/// back. This search therefore runs on the tree's own nodes and point
+/// lists: for each target `p`, a best-first search from the root ordered by
+/// `dmin²(p, node)`, pruning children by Lemma 1 (`maxrho < ρ(p)`) and by
+/// Lemma 2 (`dmin²` above [`sq_prefilter_bound`] of the candidate δ), under
+/// `config`. A leaf scan rejects an entry on its squared distance before it
+/// looks up the entry's density, which most entries never need. The
+/// `(distance, id)` rule and the global-peak convention are the δ-query's,
+/// so every answer equals [`dpc_core::index::delta_point_scan`]'s.
+///
+/// `maxrho` must come from [`subtree_max_density`] for the same `rho` the
+/// `order` was built from. The targets are spread over `policy`'s workers,
+/// one [`QueryScratch`] each; results and the merged [`QueryStats`] are
+/// identical at every thread count. `points_scanned` counts every squared
+/// distance computed, the global peak's max-distance scan included.
+pub fn delta_targets_query<T: SpatialPartition + Sync + ?Sized>(
+    tree: &T,
+    dataset: &Dataset,
+    order: &DensityOrder<'_>,
+    maxrho: &[Rho],
+    config: &DeltaQueryConfig,
+    targets: &[PointId],
+    policy: ExecPolicy,
+) -> (Vec<(f64, Option<PointId>)>, QueryStats) {
+    let mut out = vec![(0.0, None); targets.len()];
+    let scratches = exec::fill_slice(&mut out, policy, QueryScratch::new, |k, scratch| {
+        target_delta(tree, dataset, order, maxrho, config, targets[k], scratch)
+    });
+    let mut stats = QueryStats::default();
+    for s in &scratches {
+        stats.merge(&s.stats);
+    }
+    (out, stats)
+}
+
+/// δ and µ of one target `p` by best-first search from the root (see
+/// [`delta_targets_query`]).
+fn target_delta<T: SpatialPartition + ?Sized>(
+    tree: &T,
+    dataset: &Dataset,
+    order: &DensityOrder<'_>,
+    maxrho: &[Rho],
+    config: &DeltaQueryConfig,
+    p: PointId,
+    scratch: &mut QueryScratch,
+) -> (f64, Option<PointId>) {
+    let Some(root) = tree.root() else {
+        return (0.0, None);
+    };
+    let pts = dataset.points();
+    let query = pts[p];
+    let rho_p = order.rho()[p];
+    let stats = &mut scratch.stats;
+    let mut best = Candidate {
+        d: f64::INFINITY,
+        sq: f64::INFINITY,
+        q: None,
+    };
+    let heap = &mut scratch.heap;
+    heap.clear();
+    heap.push(Reverse((
+        OrdF64(tree.bbox(root).min_dist_squared(query)),
+        root,
+    )));
+    while let Some(Reverse((OrdF64(dmin2), node))) = heap.pop() {
+        if config.distance_pruning && dmin2 > best.sq {
+            stats.nodes_distance_pruned += heap.len() as u64 + 1;
+            break;
+        }
+        stats.nodes_visited += 1;
+        if tree.is_leaf(node) {
+            let members = tree.points(node);
+            stats.points_scanned += members.len() as u64;
+            for &q in members {
+                let q = q as PointId;
+                let d2 = pts[q].distance_squared(&query);
+                // The distance test first: it rejects most entries without
+                // touching their density.
+                if d2 <= best.sq && order.is_denser(q, p) {
+                    best.offer(q, d2);
+                }
+            }
+            continue;
+        }
+        for &c in tree.children(node) {
+            // A node emptied by deletions keeps a stale box; skip it outright.
+            if tree.point_count(c) == 0 {
+                continue;
+            }
+            if config.density_pruning && maxrho[c] < rho_p {
+                stats.nodes_density_pruned += 1;
+                continue;
+            }
+            let child_dmin2 = tree.bbox(c).min_dist_squared(query);
+            if config.distance_pruning && child_dmin2 > best.sq {
+                stats.nodes_distance_pruned += 1;
+                continue;
+            }
+            heap.push(Reverse((OrdF64(child_dmin2), c)));
+        }
+    }
+    match best.q {
+        Some(q) => (best.d, Some(q)),
+        None => {
+            // The global peak: the maximum distance to any point, rooted once
+            // (sqrt is monotone).
+            stats.points_scanned += pts.len() as u64;
+            let max_sq = pts
+                .iter()
+                .map(|q| q.distance_squared(&query))
+                .fold(0.0f64, f64::max);
+            (max_sq.sqrt(), None)
+        }
+    }
+}
+
+/// A tree index's [`dpc_core::UpdatableIndex::delta_targets`] under the pruning
+/// `config`: the `maxrho` annotation, built once per call, and
+/// [`delta_targets_query`] under `q.exec`.
+pub(crate) fn tree_delta_targets<T: SpatialPartition + DpcIndex + Sync + ?Sized>(
+    tree: &T,
+    q: &Query<'_>,
+    rho: &[Rho],
+    targets: &[PointId],
+    config: &DeltaQueryConfig,
+) -> Result<TargetDeltas> {
+    validate_targets(q.dc, rho, targets, tree.len())?;
+    let order = DensityOrder::with_tie_break(rho, tree.tie_break());
+    let maxrho = subtree_max_density(tree, rho);
+    let (deltas, stats) = delta_targets_query(
+        tree,
+        tree.dataset(),
+        &order,
+        &maxrho,
+        config,
+        targets,
+        q.exec,
+    );
+    Ok(TargetDeltas {
+        deltas,
+        dist_evals: stats.points_scanned,
+    })
 }
 
 /// A tree index's [`DpcIndex::rho_query`] with its traversal statistics:
@@ -1166,6 +1326,52 @@ mod tests {
                     |d: &DeltaResult| d.delta.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&expected), "{name}: {}", index.name());
             }
+        }
+    }
+
+    #[test]
+    fn delta_targets_query_prunes_and_matches_the_point_scan() {
+        let data = query_dataset(13, 0.006).into_dataset(); // 300 points
+        let part = FlatPartition::strips(&data, 0.07);
+        let (rho, _) = rho_seq(&part, &data, 0.02);
+        let order = DensityOrder::new(&rho);
+        let maxrho = subtree_max_density(&part, &rho);
+        let targets: Vec<PointId> = (0..data.len()).step_by(7).collect();
+        let expected: Vec<(f64, Option<PointId>)> = targets
+            .iter()
+            .map(|&p| dpc_core::index::delta_point_scan(&data, &order, p))
+            .collect();
+        let run = |config: &DeltaQueryConfig, policy| {
+            delta_targets_query(&part, &data, &order, &maxrho, config, &targets, policy)
+        };
+        let seq = ExecPolicy::Sequential;
+        let (pruned, stats) = run(&DeltaQueryConfig::default(), seq);
+        assert_eq!(pruned, expected);
+        assert!(stats.nodes_density_pruned > 0, "Lemma 1 must prune");
+        assert!(stats.nodes_distance_pruned > 0, "Lemma 2 must prune");
+        for threads in [2usize, 7] {
+            let par = run(&DeltaQueryConfig::default(), ExecPolicy::Threads(threads));
+            assert_eq!(par, (pruned.clone(), stats), "threads = {threads}");
+        }
+        // Without pruning every target opens every node and computes every
+        // distance (its own included); the answers stay the same.
+        let (full, full_stats) = run(&DeltaQueryConfig::no_pruning(), seq);
+        assert_eq!(full, expected);
+        let n = data.len() as u64;
+        assert_eq!(full_stats.points_scanned, targets.len() as u64 * n);
+        assert!(stats.points_scanned < full_stats.points_scanned);
+        // Each rule alone prunes less than both together.
+        for (density_pruning, distance_pruning) in [(true, false), (false, true)] {
+            let config = DeltaQueryConfig {
+                density_pruning,
+                distance_pruning,
+            };
+            let (one, one_stats) = run(&config, seq);
+            assert_eq!(one, expected, "{config:?}");
+            assert!(
+                one_stats.points_scanned >= stats.points_scanned,
+                "{config:?}"
+            );
         }
     }
 

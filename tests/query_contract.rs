@@ -14,8 +14,11 @@
 //!
 //! The leaf-local tree queries get a battery of their own: every tree index,
 //! with default and with tiny leaves, on inputs full of duplicate points,
-//! at a tiny, a mid and a beyond-the-diameter `dc`, and the R-tree and k-d tree
-//! again after deletions. Cut-off ρ and δ/µ must equal
+//! at a tiny, a mid, the bounding-box diameter and a beyond-the-diameter
+//! `dc`, and the R-tree and k-d tree again after deletions.
+//!
+//! Every index and every streaming engine must also agree on the ρ
+//! threshold where `dc` is itself the rounded distance of a pair. Cut-off ρ and δ/µ must equal
 //! `NaiveReferenceIndex` bit for bit at threads {1, 2, 7}, and the
 //! traversal counters must not depend on the thread count.
 
@@ -220,16 +223,15 @@ fn with_duplicates(points: Vec<(f64, f64)>) -> Dataset {
 }
 
 /// `dc` tiny (almost every ρ is 0, so the tie-break decides µ), the drawn
-/// mid value, and beyond the bounding-box diameter (every node fits the
+/// mid value, the bounding-box diameter and twice it (every node fits the
 /// query circle of every point).
 ///
-/// The large values stay clear of the diameter itself: a `dc` equal to the
-/// rounded distance of a point pair is where the reference's `dist < dc`
-/// and the tree indexes' `dist² < dc²` can disagree, whichever way the
-/// queries traverse.
+/// The diameter is the rounded distance of the two corner points whenever
+/// both are in the data, so the squared ρ tests must not count that pair:
+/// its rounded distance equals `dc`, not below it.
 fn dc_sweep(data: &Dataset, mid: f64) -> [f64; 4] {
     let diameter = data.bbox_diameter().max(1e-3);
-    [1e-3, mid, diameter * 1.01, diameter * 2.0]
+    [1e-3, mid, diameter, diameter * 2.0]
 }
 
 proptest! {
@@ -287,4 +289,111 @@ proptest! {
         check_leaf_local_queries("rtree after deletions", &rtree, &dcs)?;
         check_leaf_local_queries("kdtree after deletions", &kdtree, &dcs)?;
     }
+}
+
+/// Two points whose squared distance is exactly 1454.5: its rounded root is
+/// `dc` below, yet `fl(dc²)` exceeds 1454.5, so a plain `d² < dc·dc` test
+/// would count the pair while the rounded distance equals `dc`.
+fn threshold_pair() -> (Dataset, f64) {
+    let data = Dataset::from_coords(vec![(-19.5, 13.0), (2.0, -18.5)]);
+    let dc = data.distance(0, 1);
+    assert_eq!(dc, 38.137_907_651_049_765);
+    assert!(1454.5 < dc * dc);
+    (data, dc)
+}
+
+#[test]
+fn a_pair_at_exactly_dc_is_outside_for_every_index() {
+    let (data, dc) = threshold_pair();
+    let above = f64::from_bits(dc.to_bits() + 1);
+    for (name, _, index) in every_index(&data) {
+        for exec in policies() {
+            for kernel in [Kernel::Cutoff, Kernel::gaussian(dc)] {
+                let q = Query {
+                    kernel,
+                    exec,
+                    ..Query::new(dc)
+                };
+                let rho = index.rho_query(&q).unwrap();
+                assert_eq!(rho, vec![0.0, 0.0], "{name} {} {exec:?}", kernel.name());
+            }
+            let q = Query {
+                exec,
+                ..Query::new(above)
+            };
+            assert_eq!(
+                index.rho_query(&q).unwrap(),
+                vec![1.0, 1.0],
+                "{name} {exec:?}"
+            );
+        }
+    }
+    let updatable: Vec<(&str, Box<dyn UpdatableIndex>)> = vec![
+        ("naive", Box::new(NaiveReferenceIndex::build(&data))),
+        ("lean", Box::new(LeanDpc::build(&data))),
+        ("grid", Box::new(GridIndex::build(&data))),
+        ("kdtree", Box::new(KdTree::build(&data))),
+        ("rtree", Box::new(RTree::build(&data))),
+    ];
+    for (name, index) in &updatable {
+        let got = index.eps_neighbors(data.point(0), dc).unwrap();
+        assert_eq!(got, vec![0], "{name}");
+        let got = index.eps_neighbors(data.point(0), above).unwrap();
+        assert_eq!(got, vec![0, 1], "{name}");
+    }
+}
+
+#[test]
+fn a_pair_at_exactly_dc_is_outside_for_every_streaming_engine() {
+    let (data, dc) = threshold_pair();
+    let first = Dataset::new(vec![data.point(0)]);
+    fn replay<I: UpdatableIndex>(name: &str, seeded: I, pair: I, data: &Dataset, dc: f64) {
+        // Seeded with both points, and grown to both by an insert (the
+        // incremental ε-query path); then the first point slides out.
+        let mut full = StreamingDpc::new(pair, StreamParams::new(dc)).unwrap();
+        assert_eq!(full.rho(), &[0.0, 0.0], "{name} seeded");
+        let mut grown = StreamingDpc::new(seeded, StreamParams::new(dc)).unwrap();
+        grown.insert(data.point(1)).unwrap();
+        assert_eq!(grown.rho(), &[0.0, 0.0], "{name} grown");
+        let oldest = grown.oldest().unwrap();
+        grown.remove(oldest).unwrap();
+        assert_eq!(grown.rho(), &[0.0], "{name} slid");
+        full.insert(data.point(0)).unwrap();
+        assert_eq!(full.rho(), &[1.0, 0.0, 1.0], "{name} coincident insert");
+    }
+    replay(
+        "naive",
+        NaiveReferenceIndex::build(&first),
+        NaiveReferenceIndex::build(&data),
+        &data,
+        dc,
+    );
+    replay(
+        "lean",
+        LeanDpc::build(&first),
+        LeanDpc::build(&data),
+        &data,
+        dc,
+    );
+    replay(
+        "grid",
+        GridIndex::build(&first),
+        GridIndex::build(&data),
+        &data,
+        dc,
+    );
+    replay(
+        "kdtree",
+        KdTree::build(&first),
+        KdTree::build(&data),
+        &data,
+        dc,
+    );
+    replay(
+        "rtree",
+        RTree::build(&first),
+        RTree::build(&data),
+        &data,
+        dc,
+    );
 }
