@@ -1,11 +1,9 @@
-//! `bench_stream`: measures sliding-window streaming throughput
-//! (incremental affected-set maintenance vs rebuild-from-scratch) and writes
-//! the `BENCH_stream.json` snapshot.
+//! `bench_stream`: measures sliding-window streaming throughput of the
+//! engine's one commit path and writes the `BENCH_stream.json` snapshot.
 //!
 //! ```text
 //! bench_stream [--engines grid,kdtree,rtree] [--windows 1000,4000]
-//!              [--batches 1,64] [--policy incremental,rebuild,adaptive]
-//!              [--kernels cutoff,gaussian[:H],exponential[:H]]
+//!              [--batches 1,64] [--kernels cutoff,gaussian[:H],exponential[:H]]
 //!              [--updates N] [--dc F] [--seed S] [--threads N]
 //!              [--out FILE | --no-out]
 //! ```
@@ -13,10 +11,9 @@
 //! `--engine` is an alias of `--engines`; both take a comma-separated list
 //! of updatable index families. `--batches` (alias `--batch`) sweeps the
 //! epoch batch size: 1 is per-update maintenance, larger values amortise
-//! the ρ/δ repairs and the clustering over whole epochs. `--policy` (alias
-//! `--modes`) restricts which maintenance strategies are timed per cell —
-//! by default all three run, so the snapshot shows the adaptive commit
-//! policy next to both fixed strategies it chooses between. `--kernels`
+//! the ρ/δ repairs and the clustering over whole epochs; each row counts
+//! the epochs that repaired incrementally, fell back to the index's δ-query,
+//! or recomputed ρ and δ with its batch queries (`full`). `--kernels`
 //! (alias `--kernel`) sweeps density kernels: the default is the
 //! paper-faithful cut-off alone, and a weighted kernel without an explicit
 //! `:H` bandwidth uses `H = dc`. The committed snapshot at the repository
@@ -26,9 +23,7 @@
 
 use std::path::PathBuf;
 
-use dpc_bench::stream_throughput::{
-    parse_kernel_spec, run, StreamBenchOptions, StreamEngine, StreamMode,
-};
+use dpc_bench::stream_throughput::{parse_kernel_spec, run, StreamBenchOptions, StreamEngine};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,8 +33,7 @@ fn main() {
             eprintln!("error: {message}");
             eprintln!(
                 "usage: bench_stream [--engines grid,kdtree,rtree] [--windows 1000,4000] \
-                 [--batches 1,64] [--policy incremental,rebuild,adaptive] \
-                 [--kernels cutoff,gaussian[:H],exponential[:H]] [--updates N] \
+                 [--batches 1,64] [--kernels cutoff,gaussian[:H],exponential[:H]] [--updates N] \
                  [--dc F] [--seed S] [--threads N] [--out FILE | --no-out]"
             );
             std::process::exit(2);
@@ -88,16 +82,6 @@ fn parse_args(args: Vec<String>) -> Result<(StreamBenchOptions, Option<PathBuf>)
                     .map_err(|_| format!("invalid --windows list {list:?}"))?;
                 if options.windows.is_empty() || options.windows.contains(&0) {
                     return Err("--windows needs a comma-separated list of positive sizes".into());
-                }
-            }
-            "--policy" | "--modes" => {
-                let list = value_of("--policy")?;
-                options.modes = list
-                    .split(',')
-                    .map(StreamMode::parse)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.modes.is_empty() {
-                    return Err("--policy needs a comma-separated list of modes".into());
                 }
             }
             "--batches" | "--batch" => {

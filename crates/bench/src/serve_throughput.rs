@@ -78,11 +78,11 @@ pub struct ServeMeasurement {
     pub queries: u64,
     /// Subscription resyncs (ring wrapped under the readers).
     pub resyncs: u64,
-    /// Point-lookup latency distribution (µs).
+    /// Point-lookup latency distribution (ns).
     pub lookup: Histogram,
-    /// ε-neighbourhood latency distribution (µs).
+    /// ε-neighbourhood latency distribution (ns).
     pub eps: Histogram,
-    /// Subscription-poll latency distribution (µs).
+    /// Subscription-poll latency distribution (ns).
     pub sub: Histogram,
 }
 
@@ -179,13 +179,13 @@ fn measure(options: &ServeBenchOptions, readers: usize, data: &Dataset) -> Serve
                                 let h = snap.handle_at(rng.uniform_usize(snap.len()));
                                 let start = Instant::now();
                                 let _ = reader.cluster_of(h);
-                                tally.lookup.record(start.elapsed().as_micros() as u64);
+                                tally.lookup.record(start.elapsed().as_nanos() as u64);
                             }
                             1 => {
                                 let c = points[rng.uniform_usize(points.len())];
                                 let start = Instant::now();
                                 let _ = reader.eps_neighbors(c, eps);
-                                tally.eps.record(start.elapsed().as_micros() as u64);
+                                tally.eps.record(start.elapsed().as_nanos() as u64);
                             }
                             _ => {
                                 let start = Instant::now();
@@ -200,7 +200,7 @@ fn measure(options: &ServeBenchOptions, readers: usize, data: &Dataset) -> Serve
                                         tally.resyncs += 1;
                                     }
                                 }
-                                tally.sub.record(start.elapsed().as_micros() as u64);
+                                tally.sub.record(start.elapsed().as_nanos() as u64);
                             }
                         }
                         tally.queries += 1;
@@ -247,8 +247,9 @@ fn measure(options: &ServeBenchOptions, readers: usize, data: &Dataset) -> Serve
     row
 }
 
-fn quantile(h: &Histogram, q: f64) -> u64 {
-    h.value_at_quantile(q).unwrap_or(0)
+/// The quantile `q` of an ns latency histogram, in µs (ns resolution).
+fn quantile_us(h: &Histogram, q: f64) -> f64 {
+    h.value_at_quantile(q).unwrap_or(0) as f64 / 1e3
 }
 
 impl ServeBenchReport {
@@ -272,21 +273,21 @@ impl ServeBenchReport {
                 out,
                 "    {{\"readers\": {}, \"epochs\": {}, \"elapsed_ms\": {:.3}, \
                  \"epochs_per_sec\": {:.1}, \"queries\": {}, \"resyncs\": {}, \
-                 \"lookup_p50_us\": {}, \"lookup_p99_us\": {}, \
-                 \"eps_p50_us\": {}, \"eps_p99_us\": {}, \
-                 \"sub_p50_us\": {}, \"sub_p99_us\": {}}}{}",
+                 \"lookup_p50_us\": {:.3}, \"lookup_p99_us\": {:.3}, \
+                 \"eps_p50_us\": {:.3}, \"eps_p99_us\": {:.3}, \
+                 \"sub_p50_us\": {:.3}, \"sub_p99_us\": {:.3}}}{}",
                 m.readers,
                 m.epochs,
                 m.total.as_secs_f64() * 1e3,
                 m.epochs_per_sec,
                 m.queries,
                 m.resyncs,
-                quantile(&m.lookup, 0.5),
-                quantile(&m.lookup, 0.99),
-                quantile(&m.eps, 0.5),
-                quantile(&m.eps, 0.99),
-                quantile(&m.sub, 0.5),
-                quantile(&m.sub, 0.99),
+                quantile_us(&m.lookup, 0.5),
+                quantile_us(&m.lookup, 0.99),
+                quantile_us(&m.eps, 0.5),
+                quantile_us(&m.eps, 0.99),
+                quantile_us(&m.sub, 0.5),
+                quantile_us(&m.sub, 0.99),
                 if i + 1 < self.measurements.len() {
                     ","
                 } else {
@@ -323,17 +324,17 @@ impl ServeBenchReport {
         for m in &self.measurements {
             let _ = writeln!(
                 out,
-                "{:>7} {:>12.1} {:>10} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+                "{:>7} {:>12.1} {:>10} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
                 m.readers,
                 m.epochs_per_sec,
                 m.queries,
                 m.resyncs,
-                quantile(&m.lookup, 0.5),
-                quantile(&m.lookup, 0.99),
-                quantile(&m.eps, 0.5),
-                quantile(&m.eps, 0.99),
-                quantile(&m.sub, 0.5),
-                quantile(&m.sub, 0.99),
+                quantile_us(&m.lookup, 0.5),
+                quantile_us(&m.lookup, 0.99),
+                quantile_us(&m.eps, 0.5),
+                quantile_us(&m.eps, 0.99),
+                quantile_us(&m.sub, 0.5),
+                quantile_us(&m.sub, 0.99),
             );
         }
         out

@@ -11,7 +11,7 @@ use dpc_core::{
 use dpc_datasets::{read_points_csv, write_labels_csv, write_points_csv, DatasetKind};
 use dpc_list_index::{ChIndex, KnnDpc, ListIndex};
 use dpc_obs::{Fanout, MetricsRecorder, SharedRecorder, TraceSink};
-use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
+use dpc_stream::{StreamParams, StreamStats, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, Quadtree, RTree};
 
 use crate::args::ParsedArgs;
@@ -152,10 +152,9 @@ pub fn knn_cluster(args: &ParsedArgs) -> Result<String, String> {
 /// `--batch` points slides the window (evicting the same number of oldest
 /// points), and each epoch's births/deaths/relabel counts are printed.
 /// `--engine` picks the updatable index family maintaining the window
-/// (`--index` is accepted as an alias). `--policy` picks the commit
-/// strategy: `incremental` (always affected-set maintenance, the default),
-/// `rebuild` (always bulk-rebuild the index and re-run the batch pipeline)
-/// or `adaptive` (a calibrated cost model chooses per epoch).
+/// (`--index` is accepted as an alias). Each epoch line names the path the
+/// epoch took: `incremental`, `fallback` (δ recomputed by the index's
+/// δ-query), `full` (ρ and δ recomputed by its batch queries) or `decay`.
 ///
 /// Observability: `--json` switches the per-epoch lines and the exit
 /// summary to one JSON object per line, `--metrics` attaches a
@@ -176,7 +175,6 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
         "bandwidth",
         "decay",
         "max-epochs",
-        "policy",
         "quiet",
         "json",
         "metrics",
@@ -195,8 +193,6 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
     let kernel = parse_kernel(args.get("kernel"), args.get_parsed("bandwidth")?)?;
     let decay: f64 = args.get_or("decay", 1.0)?;
     let max_epochs: usize = args.get_or("max-epochs", usize::MAX)?;
-    let policy = CommitPolicy::parse(args.get("policy").unwrap_or("incremental"))
-        .map_err(|e| e.to_string())?;
     let quiet = args.has_switch("quiet");
     let json = args.has_switch("json");
     let trace_out = args.get("trace-out").map(PathBuf::from);
@@ -236,7 +232,6 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
                 .with_kernel(kernel)
                 .with_threads(threads),
         )
-        .with_policy(policy)
         .with_decay(decay);
     let mut lines = Vec::new();
     let opts = ReplayOpts {
@@ -309,7 +304,7 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
     // point is 2 point-updates); say so, since bench_stream's rows count
     // one-in-one-out slides and would otherwise look 2x slower. The δ/µ
     // repair is paid per *epoch* (one `--batch`-sized advance), so the
-    // incremental/fallback split and the affected union are per epoch.
+    // epoch-mode split and the affected union are per epoch.
     if json {
         let bandwidth_field = kernel
             .bandwidth()
@@ -318,55 +313,36 @@ pub fn stream(args: &ParsedArgs) -> Result<String, String> {
         let _ = write!(
             out,
             "{{\"event\":\"summary\",\"updates\":{},\"window\":{warm},\
-             \"elapsed_ms\":{:.3},\"seed_ms\":{:.3},\"epochs\":{},\
-             \"incremental\":{},\"fallback\":{},\"rebuild\":{},\"decay_epochs\":{},\
-             \"mean_affected\":{:.3},\"policy\":\"{}\",\
+             \"elapsed_ms\":{:.3},\"seed_ms\":{:.3},\"epochs\":{},{},\
+             \"mean_affected\":{:.3},\
              \"kernel\":\"{}\"{bandwidth_field},\"decay\":{decay},\
-             \"eps_queries\":{},\
-             \"predicted_cost_us\":{},\"observed_cost_us\":{}}}",
+             \"eps_queries\":{}}}",
             stats.updates,
             elapsed.as_secs_f64() * 1e3,
             seed_time.as_secs_f64() * 1e3,
             stats.epochs,
-            stats.incremental_epochs,
-            stats.fallback_epochs,
-            stats.rebuild_epochs,
-            stats.decay_epochs,
+            epoch_modes_json(&stats),
             stats.affected_points as f64 / (stats.epochs as f64).max(1.0),
-            policy.name(),
             kernel.name(),
             stats.eps_queries,
-            stats.predicted_cost_micros,
-            stats.observed_cost_micros
         );
     } else {
         let _ = write!(
             out,
             "applied {} point updates (each eviction or insertion) over a window \
              of {} in {:.1} ms ({:.0} point updates/s, seeding took {:.1} ms): \
-             {} epochs ({} incremental, {} fallback, {} rebuild), \
-             mean affected union {:.1}, commit policy {}",
+             {} epochs ({}), mean affected union {:.1}",
             stats.updates,
             warm,
             elapsed.as_secs_f64() * 1e3,
             stats.updates as f64 / elapsed.as_secs_f64().max(1e-9),
             seed_time.as_secs_f64() * 1e3,
             stats.epochs,
-            stats.incremental_epochs,
-            stats.fallback_epochs,
-            stats.rebuild_epochs,
+            epoch_modes_text(&stats),
             stats.affected_points as f64 / (stats.epochs as f64).max(1.0),
-            policy.name()
         );
         if !kernel.is_cutoff() || decay != 1.0 {
             let _ = write!(out, ", kernel {}, decay {decay}", describe_kernel(kernel));
-        }
-        if policy == CommitPolicy::Adaptive {
-            let _ = write!(
-                out,
-                " (cost model predicted {} us across epochs, observed {} us)",
-                stats.predicted_cost_micros, stats.observed_cost_micros
-            );
         }
     }
     if let Some(metrics) = &metrics {
@@ -407,7 +383,7 @@ fn replay<I: UpdatableIndex>(
     max_epochs: usize,
     opts: &ReplayOpts,
     lines: &mut Vec<String>,
-) -> Result<(dpc_stream::StreamStats, std::time::Duration), String> {
+) -> Result<(StreamStats, std::time::Duration), String> {
     if let Some(rec) = &opts.recorder {
         engine.set_recorder(Arc::clone(rec));
     }
@@ -434,8 +410,8 @@ fn replay<I: UpdatableIndex>(
         if opts.quiet {
             continue;
         }
-        // Tag each epoch with the maintenance path the commit policy
-        // actually took (incremental / fallback / rebuild).
+        // Tag each epoch with the maintenance path it actually took
+        // (incremental / fallback / full).
         let mode = engine.stats().last_epoch_mode.map_or("?", |m| m.name());
         lines.push(epoch_line(
             mode,
@@ -445,6 +421,23 @@ fn replay<I: UpdatableIndex>(
         ));
     }
     Ok((engine.stats(), timer.elapsed()))
+}
+
+/// The epoch-mode counts of an exit summary as JSON fields: what every
+/// committed epoch actually ran.
+fn epoch_modes_json(stats: &StreamStats) -> String {
+    format!(
+        "\"incremental\":{},\"fallback\":{},\"full\":{},\"decay_epochs\":{}",
+        stats.incremental_epochs, stats.fallback_epochs, stats.rebuild_epochs, stats.decay_epochs
+    )
+}
+
+/// The epoch-mode counts of a human-readable exit summary.
+fn epoch_modes_text(stats: &StreamStats) -> String {
+    format!(
+        "{} incremental, {} fallback, {} full, {} decay",
+        stats.incremental_epochs, stats.fallback_epochs, stats.rebuild_epochs, stats.decay_epochs
+    )
 }
 
 /// One per-epoch report line — shared by `dpc stream` and `dpc serve` so
@@ -481,11 +474,12 @@ fn load_points(path: &str) -> Result<Dataset, String> {
 /// snapshots.
 ///
 /// The writer is exactly `dpc stream`'s replay loop (same `--window`,
-/// `--batch`, `--policy`, per-epoch delta lines); the serving layer wraps
+/// `--batch`, per-epoch delta lines); the serving layer wraps
 /// the engine in a [`dpc_serve::Server`] so every committed epoch publishes
 /// an immutable snapshot. Reader threads issue a deterministic mix of the
 /// three query families against the newest snapshot and report per-family
-/// p50/p99 latencies in the exit summary. `--ring` bounds the subscription
+/// p50/p99 latencies in the exit summary, timed in nanoseconds and reported
+/// in µs with three decimals, so sub-µs lookups stay visible. `--ring` bounds the subscription
 /// delta ring (lagging subscribers resync, counted in the summary).
 ///
 /// `--json`, `--metrics` and `--trace-out` behave as in `dpc stream`; with
@@ -505,7 +499,6 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
         "bandwidth",
         "decay",
         "max-epochs",
-        "policy",
         "readers",
         "ring",
         "quiet",
@@ -526,8 +519,6 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
     let kernel = parse_kernel(args.get("kernel"), args.get_parsed("bandwidth")?)?;
     let decay: f64 = args.get_or("decay", 1.0)?;
     let max_epochs: usize = args.get_or("max-epochs", usize::MAX)?;
-    let policy = CommitPolicy::parse(args.get("policy").unwrap_or("incremental"))
-        .map_err(|e| e.to_string())?;
     let readers: usize = args.get_or("readers", 2)?;
     let ring: usize = args.get_or("ring", 64)?;
     let quiet = args.has_switch("quiet");
@@ -570,7 +561,6 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
                 .with_kernel(kernel)
                 .with_threads(threads),
         )
-        .with_policy(policy)
         .with_decay(decay);
     let mut lines = Vec::new();
     let opts = ReplayOpts {
@@ -645,20 +635,22 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
     if !out.is_empty() {
         out.push('\n');
     }
-    let q = |h: &dpc_obs::Histogram, q: f64| h.value_at_quantile(q).unwrap_or(0);
+    // Reader latencies are recorded in ns; report µs with ns resolution.
+    let q = |h: &dpc_obs::Histogram, q: f64| h.value_at_quantile(q).unwrap_or(0) as f64 / 1e3;
     let kernel_name = kernel.name();
     if json {
         let _ = write!(
             out,
-            "{{\"event\":\"serve_summary\",\"epochs\":{},\"published\":{},\
+            "{{\"event\":\"serve_summary\",\"epochs\":{},{},\"published\":{},\
              \"window\":{warm},\"elapsed_ms\":{:.3},\"readers\":{readers},\
              \"kernel\":\"{kernel_name}\",\"decay\":{decay},\
              \"lookups\":{},\"eps_queries\":{},\"sub_polls\":{},\
              \"resyncs\":{},\"ring_evictions\":{},\
-             \"lookup_p50_us\":{},\"lookup_p99_us\":{},\
-             \"eps_p50_us\":{},\"eps_p99_us\":{},\
-             \"sub_p50_us\":{},\"sub_p99_us\":{}}}",
+             \"lookup_p50_us\":{:.3},\"lookup_p99_us\":{:.3},\
+             \"eps_p50_us\":{:.3},\"eps_p99_us\":{:.3},\
+             \"sub_p50_us\":{:.3},\"sub_p99_us\":{:.3}}}",
             report.stats.epochs,
+            epoch_modes_json(&report.stats),
             report.published,
             elapsed.as_secs_f64() * 1e3,
             report.lookups,
@@ -676,11 +668,12 @@ pub fn serve(args: &ParsedArgs) -> Result<String, String> {
     } else {
         let _ = write!(
             out,
-            "served {} epochs ({} published) over a window of {warm} in {:.1} ms \
+            "served {} epochs ({}; {} published) over a window of {warm} in {:.1} ms \
              ({:.1} epochs/s); {readers} readers issued {} lookups, {} eps-queries, \
              {} subscription polls ({} resyncs, {} ring evictions); \
-             p50/p99 us: lookup {}/{}, eps {}/{}, sub {}/{}",
+             p50/p99 us: lookup {:.3}/{:.3}, eps {:.3}/{:.3}, sub {:.3}/{:.3}",
             report.stats.epochs,
+            epoch_modes_text(&report.stats),
             report.published,
             elapsed.as_secs_f64() * 1e3,
             report.stats.epochs as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -733,7 +726,7 @@ struct ServeOpts<'a> {
 /// What one replay through the serving layer observed: the writer's engine
 /// stats plus the merged reader-side tallies and latency histograms.
 struct ServeReport {
-    stats: dpc_stream::StreamStats,
+    stats: StreamStats,
     published: u64,
     ring_evictions: u64,
     lookups: u64,
@@ -825,14 +818,14 @@ fn serve_replay<I: UpdatableIndex>(
                                 let h = snap.handle_at(rng.uniform_usize(snap.len()));
                                 let start = Instant::now();
                                 let _ = reader.cluster_of(h);
-                                tally.lookup.record(start.elapsed().as_micros() as u64);
+                                tally.lookup.record(start.elapsed().as_nanos() as u64);
                                 tally.lookups += 1;
                             }
                             1 => {
                                 let c = query_points[rng.uniform_usize(query_points.len())];
                                 let start = Instant::now();
                                 let _ = reader.eps_neighbors(c, eps);
-                                tally.eps.record(start.elapsed().as_micros() as u64);
+                                tally.eps.record(start.elapsed().as_nanos() as u64);
                                 tally.eps_queries += 1;
                             }
                             _ => {
@@ -848,7 +841,7 @@ fn serve_replay<I: UpdatableIndex>(
                                         tally.resyncs += 1;
                                     }
                                 }
-                                tally.sub.record(start.elapsed().as_micros() as u64);
+                                tally.sub.record(start.elapsed().as_nanos() as u64);
                                 tally.sub_polls += 1;
                             }
                         }
@@ -1300,12 +1293,15 @@ mod tests {
         assert!(out.contains("epoch"), "{out}");
         assert!(out.contains("updates/s"), "{out}");
         // Every epoch line is tagged with the maintenance path taken, and
-        // the exit summary names the commit policy.
+        // the exit summary counts the epochs of each: a batch of 50 in a
+        // window of 200 needs 100 ε-queries, past the default threshold, so
+        // every epoch reruns the batch queries.
+        assert!(out.contains("[full]"), "{out}");
+        assert!(!out.contains("[incremental]"), "{out}");
         assert!(
-            out.contains("[incremental]") || out.contains("[fallback]"),
+            out.contains("(0 incremental, 0 fallback, 9 full, 0 decay)"),
             "{out}"
         );
-        assert!(out.contains("commit policy incremental"), "{out}");
 
         // Every other engine must replay the same stream; `--engine` is the
         // documented spelling, `--index` stays as an alias.
@@ -1326,12 +1322,10 @@ mod tests {
             ]))
             .unwrap();
             assert!(!out.contains("epoch "), "{engine}: {out}");
-            assert!(out.contains("incremental"), "{engine}: {out}");
+            assert!(out.contains("9 full"), "{engine}: {out}");
         }
 
-        // The commit policy is selectable: rebuild commits every epoch via
-        // the bulk path, adaptive lets the cost model choose and reports
-        // its predicted-vs-observed totals.
+        // One update per epoch stays under the threshold: no full epoch.
         let out = run(args(&[
             "stream",
             "--input",
@@ -1341,29 +1335,13 @@ mod tests {
             "--window",
             "200",
             "--batch",
-            "50",
-            "--policy",
-            "rebuild",
+            "1",
+            "--max-epochs",
+            "20",
         ]))
         .unwrap();
-        assert!(out.contains("[rebuild]"), "{out}");
-        assert!(out.contains("commit policy rebuild"), "{out}");
-        let out = run(args(&[
-            "stream",
-            "--input",
-            points.to_str().unwrap(),
-            "--dc",
-            "0.5",
-            "--window",
-            "200",
-            "--batch",
-            "50",
-            "--policy",
-            "adaptive",
-        ]))
-        .unwrap();
-        assert!(out.contains("commit policy adaptive"), "{out}");
-        assert!(out.contains("cost model predicted"), "{out}");
+        assert!(out.contains("[incremental]"), "{out}");
+        assert!(out.contains("0 full, 0 decay"), "{out}");
 
         // Bad invocations.
         assert!(run(args(&[
@@ -1383,9 +1361,10 @@ mod tests {
             "--dc",
             "0.5",
             "--policy",
-            "sometimes"
+            "incremental"
         ]))
-        .is_err());
+        .unwrap_err()
+        .contains("policy"));
         assert!(run(args(&[
             "stream",
             "--input",
@@ -1443,9 +1422,9 @@ mod tests {
         .unwrap();
 
         // A decayed gaussian replay through the JSON feed: the summary names
-        // the kernel, bandwidth and decay factor, and the rebuild policy is
-        // coerced to incremental because rebuilds cannot reproduce decayed
-        // weighted densities.
+        // the kernel, bandwidth and decay factor, and no epoch reruns the
+        // batch ρ-query (decayed densities depend on the window's history),
+        // although every batch of 50 passes the threshold of a 200 window.
         let out = run(args(&[
             "stream",
             "--input",
@@ -1462,8 +1441,6 @@ mod tests {
             "200",
             "--batch",
             "50",
-            "--policy",
-            "rebuild",
             "--json",
         ]))
         .unwrap();
@@ -1471,7 +1448,8 @@ mod tests {
         assert!(out.contains("\"kernel\":\"gaussian\""), "{out}");
         assert!(out.contains("\"bandwidth\":0.7"), "{out}");
         assert!(out.contains("\"decay\":0.9"), "{out}");
-        assert!(out.contains("\"rebuild\":0"), "{out}");
+        assert!(out.contains("\"full\":0"), "{out}");
+        assert!(out.contains("\"fallback\":9"), "{out}");
 
         // The human-readable summary names weighted kernels too.
         let out = run(args(&[
@@ -1562,8 +1540,6 @@ mod tests {
             "200",
             "--batch",
             "50",
-            "--policy",
-            "adaptive",
         ];
 
         // --json: every line is one JSON object; the per-epoch objects carry
@@ -1589,7 +1565,8 @@ mod tests {
                 .starts_with("{\"event\":\"summary\""),
             "{out}"
         );
-        assert!(out.contains("\"policy\":\"adaptive\""), "{out}");
+        assert!(out.contains("\"full\":9"), "{out}");
+        assert!(!out.contains("policy"), "{out}");
 
         // --metrics: the snapshot table follows the summary and holds the
         // streaming counters and per-phase histograms.
@@ -1598,10 +1575,10 @@ mod tests {
         let out = run(args(&metrics_args)).unwrap();
         assert!(out.contains("stream.epochs"), "{out}");
         assert!(out.contains("stream.phase.validate_us"), "{out}");
-        assert!(out.contains("stream.policy.decision.events"), "{out}");
+        assert!(out.contains("stream.epochs.full"), "{out}");
 
         // --trace-out: a valid Chrome trace-event file with epoch spans and
-        // policy decision instants.
+        // the chunk spans of the batch queries the full epochs ran.
         let trace_path = dir.join("trace.json");
         let mut trace_args = base.to_vec();
         trace_args.extend(["--quiet", "--trace-out", trace_path.to_str().unwrap()]);
@@ -1613,9 +1590,8 @@ mod tests {
         for required in [
             "\"name\":\"stream.epoch\"",
             "\"name\":\"stream.phase.validate\"",
-            "\"name\":\"stream.policy.decision\"",
+            "\"name\":\"query.rho.chunk\"",
             "\"ph\":\"X\"",
-            "\"ph\":\"i\"",
             "\"ts\":",
             "\"pid\":",
         ] {
@@ -1689,6 +1665,14 @@ mod tests {
                 "summary missing {field}: {summary}"
             );
         }
+        // Reader latencies are timed in ns: a sub-µs lookup must not read 0.
+        let p50: f64 = summary
+            .split("\"lookup_p50_us\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|v| v.parse().ok())
+            .expect("lookup_p50_us is a number");
+        assert!(p50 > 0.0, "{summary}");
         assert!(out.contains("\"recentred\":"), "{out}");
 
         // --trace-out: reader query spans land in the same Chrome trace as

@@ -62,14 +62,14 @@ USAGE:
                   [--engine grid|kdtree|rtree|naive] [--window N] [--batch N] [--threads N]
                   [--centers top:K|auto[:MAX]|threshold:RHO,DELTA]
                   [--kernel cutoff|gaussian|exponential] [--bandwidth F] [--decay L]
-                  [--policy incremental|rebuild|adaptive] [--max-epochs N] [--quiet]
+                  [--max-epochs N] [--quiet]
                   [--json] [--metrics] [--trace-out trace.json]
   dpc serve       --input points.csv --dc F
                   [--engine grid|kdtree|rtree|naive] [--window N] [--batch N] [--threads N]
                   [--readers N] [--ring N]
                   [--centers top:K|auto[:MAX]|threshold:RHO,DELTA]
                   [--kernel cutoff|gaussian|exponential] [--bandwidth F] [--decay L]
-                  [--policy incremental|rebuild|adaptive] [--max-epochs N] [--quiet]
+                  [--max-epochs N] [--quiet]
                   [--json] [--metrics] [--trace-out trace.json]
   dpc help
 
@@ -78,19 +78,21 @@ at `--scale` times their original size. Clustering reads any CSV of `x,y`
 rows (extra columns ignored) and writes `x,y,label` rows; halo points get an
 empty label when --halo is set. `stream` replays the CSV as a point stream:
 the first --window rows seed an incremental engine, every following batch
-slides the window, and per-epoch cluster births/deaths are printed; --policy
-picks the commit strategy (adaptive = a calibrated cost model chooses
-incremental maintenance or a bulk rebuild per epoch). --kernel swaps the
-hard cut-off density for a weighted gaussian/exponential kernel (requires
---bandwidth), and --decay L (0 < L <= 1) multiplies every surviving point's
-density by L each epoch so stale mass fades out; weighted or decayed runs
-always maintain densities incrementally. --json emits one JSON
+slides the window, and per-epoch cluster births/deaths are printed, each
+epoch tagged with the path it took: incremental repair, a fallback to the
+index's delta-query, or a full epoch that reruns the index's rho- and
+delta-queries because it touches more than a quarter of the window. --kernel
+swaps the hard cut-off density for a weighted gaussian/exponential kernel
+(requires --bandwidth), and --decay L (0 < L <= 1) multiplies every
+surviving point's density by L each epoch so stale mass fades out; decayed
+runs never take a full epoch. --json emits one JSON
 object per epoch instead of text, --metrics prints a metrics table after the
 replay, and --trace-out writes a Chrome trace-event file of the per-epoch
 phase spans (open in Perfetto or chrome://tracing). `serve` runs the same
 writer replay behind the concurrent serving layer while --readers threads
 answer point-lookup, eps-neighbourhood and delta-subscription queries from
-the published epoch snapshots (per-family p50/p99 in the exit summary);
+the published epoch snapshots (per-family p50/p99 in us, timed in ns, in
+the exit summary);
 --ring bounds the subscription delta ring — readers that fall further behind
 resync from a full snapshot."
         .to_string()

@@ -349,38 +349,6 @@ pub trait UpdatableIndex: DpcIndex {
         Ok(())
     }
 
-    /// Replaces the index's contents with `dataset` in one **bulk load** —
-    /// the fast path behind the streaming engine's rebuild commits.
-    ///
-    /// The caller (see `dpc-stream`'s rebuild commit path) materialises the
-    /// epoch's final dataset itself — applying the batch with the exact
-    /// per-update id semantics, so the dataset's points, ids *and* its
-    /// mutation [`version`](Dataset::version) already carry the same state an
-    /// in-place [`apply_batch`](Self::apply_batch) would have produced — and
-    /// hands it over here. Afterwards every [`DpcIndex`] query must return
-    /// exactly what a freshly built index over `dataset` would return, and
-    /// [`dataset`](DpcIndex::dataset) must expose the adopted points at the
-    /// same dense ids. Implementations should adopt `dataset` **verbatim**
-    /// (including its version) and rebuild their structure with their bulk
-    /// constructor: construction is `O(n log n)`-ish where incremental
-    /// maintenance of a churned structure is not, which is what makes rebuild
-    /// a genuine per-epoch alternative instead of a penalty box.
-    ///
-    /// The default implementation is the portable slow path — evict
-    /// everything, re-insert every point — which leaves the same points at
-    /// the same ids but pays per-update maintenance `old_len + new_len` times
-    /// and advances the dataset version by that many mutations instead of
-    /// adopting `dataset`'s version. Every in-tree engine overrides it.
-    fn rebuild_from(&mut self, dataset: Dataset) -> Result<()> {
-        while self.len() > 0 {
-            self.remove(self.len() - 1)?;
-        }
-        for (_, p) in dataset.iter() {
-            self.insert(p)?;
-        }
-        Ok(())
-    }
-
     /// δ and µ of every point in `targets` under the density order of `rho`
     /// (this index's [`tie_break`](DpcIndex::tie_break)), each exactly what
     /// [`delta_query`](DpcIndex::delta_query) would return for it, plus the
@@ -727,60 +695,6 @@ mod tests {
         let msg = validate_dc(1e-170).unwrap_err().to_string();
         assert!(msg.contains("1e-170"), "value missing in: {msg}");
         assert!(msg.contains("1.5e-154"), "range missing in: {msg}");
-    }
-
-    /// A delegating wrapper that deliberately does NOT override
-    /// `rebuild_from`, pinning the default evict-and-reinsert path.
-    struct NoOverride(crate::naive_reference::NaiveReferenceIndex);
-
-    impl DpcIndex for NoOverride {
-        fn name(&self) -> &'static str {
-            "no-override"
-        }
-        fn dataset(&self) -> &Dataset {
-            self.0.dataset()
-        }
-        fn rho_query(&self, q: &Query<'_>) -> Result<Vec<crate::density::Rho>> {
-            self.0.rho_query(q)
-        }
-        fn delta_query(&self, q: &Query<'_>, rho: &[crate::density::Rho]) -> Result<DeltaResult> {
-            self.0.delta_query(q, rho)
-        }
-        fn memory_bytes(&self) -> usize {
-            self.0.memory_bytes()
-        }
-        fn stats(&self) -> IndexStats {
-            self.0.stats()
-        }
-    }
-
-    impl UpdatableIndex for NoOverride {
-        fn insert(&mut self, p: Point) -> Result<PointId> {
-            self.0.insert(p)
-        }
-        fn remove(&mut self, id: PointId) -> Result<Option<PointId>> {
-            self.0.remove(id)
-        }
-        fn eps_neighbors(&self, center: Point, eps: f64) -> Result<Vec<PointId>> {
-            self.0.eps_neighbors(center, eps)
-        }
-    }
-
-    #[test]
-    fn default_rebuild_from_replays_the_dataset_in_id_order() {
-        let old = Dataset::from_coords(vec![(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
-        let new = Dataset::from_coords(vec![(5.0, 5.0), (6.0, 6.0)]);
-        let mut index = NoOverride(crate::naive_reference::NaiveReferenceIndex::build(&old));
-        index.rebuild_from(new.clone()).unwrap();
-        assert_eq!(index.len(), 2);
-        assert_eq!(index.dataset().points(), new.points());
-        // The default is a mutation replay, so the version advances by
-        // old_len + new_len on top of the index's own dataset — overrides
-        // instead adopt the passed dataset (and its version) verbatim.
-        assert_eq!(index.dataset().version(), 3 + 2);
-        // Queries match a fresh build over the adopted dataset.
-        let fresh = crate::naive_reference::NaiveReferenceIndex::build(&new);
-        assert_eq!(index.rho_delta(2.0).unwrap(), fresh.rho_delta(2.0).unwrap());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! **Streaming Density Peak Clustering**: an online engine that keeps an
 //! exact DPC clustering over a mutable window of points — inserts, evictions
-//! and sliding-window advances — without ever rebuilding the index or
-//! re-running the full ρ/δ queries.
+//! and sliding-window advances — without ever rebuilding the index, and
+//! re-running the full ρ/δ queries only for epochs that touch a large share
+//! of the window.
 //!
 //! The batch pipeline of this workspace computes, for every point, the local
 //! density `ρ` (neighbours within `dc`) and the dependent distance `δ`
@@ -26,7 +27,7 @@
 //!   folds the few candidate entrants into its existing minimum with one
 //!   distance comparison each.
 //!
-//! Batching is a cost model, never a semantics change: committing a batch is
+//! Batching changes the cost, never the semantics: committing a batch is
 //! **bit-identical** to applying its updates one at a time, and both are
 //! bit-identical to a cold batch run over the surviving points — that is not
 //! an aspiration but the invariant enforced by this crate's property suite,
@@ -54,19 +55,18 @@
 //! ```
 //!
 //! Incremental repair is not always the cheapest way to commit an epoch:
-//! large batches invalidate most of the window, where one bulk index
-//! rebuild plus the batch queries wins. The [`CommitPolicy`] on
-//! [`StreamParams`] picks the maintenance path per epoch — always
-//! incremental (default), always rebuild, or adaptively via a calibrated
-//! cost model ([`policy`]) — without ever changing results.
+//! an epoch that touches a large share of the window pays more in
+//! ε-queries and candidate folds than the index's own batch queries would.
+//! Past one threshold ([`StreamParams::max_affected_fraction`]) the engine
+//! recomputes ρ and δ/µ with those queries, the cold pipeline's own, instead
+//! — results never change, only the work done ([`EpochMode`]).
 //!
 //! See [`engine`] for the epoch pipeline, [`epoch`] for the [`EpochPlan`]
 //! batch accumulator, [`handle`] for the stable point handles that survive
-//! the dataset's swap-remove id churn, [`policy`] for the commit policy and
-//! cost model, and [`report`] for the per-epoch [`ClusterDelta`]. The full
-//! internals contract — affected sets, the δ invalidation taxonomy,
-//! swap-remove semantics, a worked epoch example — lives in
-//! `docs/STREAMING.md` at the repository root.
+//! the dataset's swap-remove id churn, and [`report`] for the per-epoch
+//! [`ClusterDelta`]. The full internals contract — affected sets, the δ
+//! invalidation taxonomy, swap-remove semantics, a worked epoch example —
+//! lives in `docs/STREAMING.md` at the repository root.
 //!
 //! For concurrent serving, [`snapshot`] freezes each committed epoch as an
 //! immutable [`EpochSnapshot`] and publishes it through a [`SnapshotSink`]
@@ -81,13 +81,11 @@ pub mod engine;
 pub mod epoch;
 pub mod handle;
 pub mod maintenance;
-pub mod policy;
 pub mod report;
 pub mod snapshot;
 
-pub use engine::{aged_weight, decay_factor, StreamParams, StreamStats, StreamingDpc};
+pub use engine::{aged_weight, decay_factor, EpochMode, StreamParams, StreamStats, StreamingDpc};
 pub use epoch::{EpochPlan, PlannedInsert};
 pub use handle::{Handle, HandleMap};
-pub use policy::{CommitPolicy, CostModel, EpochMode, Prediction};
 pub use report::{ClusterDelta, LabelChange};
 pub use snapshot::{EpochSnapshot, SnapshotSink};

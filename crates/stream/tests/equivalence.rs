@@ -2,8 +2,8 @@
 //! a random insert/delete sequence, the incremental state `(ρ, δ, µ, labels,
 //! centres)` must be **bit-identical** to a cold batch run (fresh index of
 //! the same kind + full pipeline) over the surviving points — for every
-//! [`UpdatableIndex`] implementation, at threads 1 and 4, on both the
-//! incremental path and the full-recompute fallback.
+//! [`UpdatableIndex`] implementation, at threads 1 and 4, on the
+//! incremental path and on both full-query fallbacks (δ alone, and ρ with δ).
 //!
 //! ## The generic harness
 //!
@@ -36,7 +36,7 @@ use dpc_core::naive_reference::NaiveReferenceIndex;
 use dpc_core::{CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Point, UpdatableIndex};
 use dpc_datasets::rng::SplitMix64;
 use dpc_datasets::testsupport::{lattice_point, test_points, TestDistribution};
-use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
+use dpc_stream::{EpochMode, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridConfig, GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
 use proptest::prelude::*;
 
@@ -270,16 +270,16 @@ where
 /// * a **cold batch run** — a fresh index of the same kind + the full
 ///   pipeline over the surviving points.
 ///
-/// Only the batched engine runs under `policy`; the replay oracle always
-/// stays on the default incremental path, so a rebuild or adaptive policy
-/// is checked against genuinely independent maintenance.
+/// Only the batched engine runs at fallback threshold
+/// `max_affected_fraction`; the replay oracle always keeps the default, so
+/// a forced or disabled fallback is checked against independent maintenance.
 fn check_advance<I, F>(
     label: &str,
     build: F,
     seed_points: &[Point],
     ops: &[Op],
     batch_size: usize,
-    policy: CommitPolicy,
+    max_affected_fraction: f64,
     threads: usize,
 ) -> Result<(), TestCaseError>
 where
@@ -293,7 +293,9 @@ where
     let params = StreamParams::new(dc).with_dpc(dpc.clone());
     let mut batched = StreamingDpc::new(
         build(&Dataset::new(seed_points.to_vec())),
-        params.clone().with_policy(policy),
+        params
+            .clone()
+            .with_max_affected_fraction(max_affected_fraction),
     )
     .map_err(|e| TestCaseError::fail(format!("[{label}] seeding failed: {e}")))?;
     let mut replay = StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params)
@@ -483,7 +485,7 @@ proptest! {
                     &seed_points,
                     &ops,
                     batch_size,
-                    CommitPolicy::AlwaysIncremental,
+                    DEFAULT_FRACTION,
                     4,
                 )?;
             });
@@ -626,26 +628,17 @@ fn large_epochs_match_per_update_replay_across_engines() {
         })
         .collect();
     for_each_updatable_index!(|name, build| {
-        check_advance(
-            name,
-            build,
-            &seed_points,
-            &ops,
-            64,
-            CommitPolicy::AlwaysIncremental,
-            4,
-        )
-        .unwrap();
+        check_advance(name, build, &seed_points, &ops, 64, DEFAULT_FRACTION, 4).unwrap();
     });
 }
 
-/// The `AlwaysRebuild` and `Adaptive` commit policies must land on state
-/// bit-identical to both oracles (per-update incremental replay and cold
-/// batch run) at every epoch, for every engine, at the documented batch
-/// sizes {1, 7, 64} and threads {1, 4}. Timing nondeterminism may flip
-/// which path an adaptive epoch takes — never what it commits.
+/// Every fallback threshold must land on state bit-identical to both
+/// oracles (per-update replay at the default threshold and cold batch run)
+/// at every epoch, for every engine, at batch sizes {1, 7, 64} and threads
+/// {1, 4}: the default, 0 (every epoch recomputes ρ and δ with the batch
+/// queries) and 1 (no fallback at all).
 #[test]
-fn rebuild_and_adaptive_policies_match_oracles_across_engines() {
+fn fallback_thresholds_match_oracles_across_engines() {
     let seed_points = test_points(TestDistribution::Clustered, 40, 99);
     let mut rng = SplitMix64::new(78);
     let extra = test_points(TestDistribution::Clustered, 150, 101);
@@ -657,78 +650,85 @@ fn rebuild_and_adaptive_policies_match_oracles_across_engines() {
             sel: rng.next_u64(),
         })
         .collect();
-    for &threads in &[1usize, 4] {
-        for &batch in &[1usize, 7, 64] {
-            for_each_updatable_index!(|name, build| {
-                check_advance(
-                    name,
-                    build,
-                    &seed_points,
-                    &ops,
-                    batch,
-                    CommitPolicy::Adaptive,
-                    threads,
-                )
-                .unwrap();
-            });
+    for &fraction in &[DEFAULT_FRACTION, 0.0, 1.0] {
+        for &threads in &[1usize, 4] {
+            for &batch in &[1usize, 7, 64] {
+                for_each_updatable_index!(|name, build| {
+                    check_advance(name, build, &seed_points, &ops, batch, fraction, threads)
+                        .unwrap();
+                });
+            }
         }
     }
-    // The fixed rebuild policy gets one representative sweep per engine
-    // (batch 7, 4 threads): every epoch above may or may not rebuild; these
-    // all must.
-    for_each_updatable_index!(|name, build| {
-        check_advance(
-            name,
-            build,
-            &seed_points,
-            &ops,
-            7,
-            CommitPolicy::AlwaysRebuild,
-            4,
-        )
-        .unwrap();
-    });
 }
 
-/// Regression: a mid-stream policy flip (incremental → rebuild →
-/// incremental) must be invisible in the committed state — bit-identical to
-/// the cold oracle at every epoch — while the `rebuild_epochs` /
-/// `fallback_epochs` counters advance exactly as the active policy
-/// predicts. `max_affected_fraction` 0 pins every incremental-path epoch to
-/// the fallback counter, so the split is deterministic.
+/// One stream that visits every commit mode: a batch-1 epoch far from the
+/// dense blob repairs incrementally, a batch-1 epoch inside the blob
+/// invalidates the whole blob (more than the threshold of the window) with
+/// one ε-query and recomputes δ alone, and a sliding batch whose ε-queries
+/// pass the threshold recomputes ρ and δ with the batch queries. After every
+/// epoch the mode is asserted and ρ/δ/µ/labels must equal a cold batch run,
+/// for all five engines.
 #[test]
-fn mid_stream_policy_flip_is_bit_identical_and_counted() {
-    let dc = 60.0;
-    let dpc = DpcParams::new(dc).with_centers(CenterSelection::GammaGap { max_centers: 8 });
-    let arrivals = test_points(TestDistribution::Clustered, 18, 31);
+fn every_commit_mode_matches_batch_at_every_epoch() {
+    let dpc = DpcParams::new(1.0).with_centers(CenterSelection::GammaGap { max_centers: 8 });
     for_each_updatable_index!(|name, build| {
-        let seed = Dataset::new(test_points(TestDistribution::Clustered, 16, 30));
-        let params = StreamParams::new(dc)
-            .with_dpc(dpc.clone())
-            .with_max_affected_fraction(0.0);
-        let mut engine = StreamingDpc::new(build(&seed), params).unwrap();
-        for (i, chunk) in arrivals.chunks(3).enumerate() {
-            match i {
-                2 => engine.set_policy(CommitPolicy::AlwaysRebuild),
-                4 => engine.set_policy(CommitPolicy::AlwaysIncremental),
-                _ => {}
-            }
-            engine.advance(chunk, chunk.len()).unwrap();
+        let mut engine = StreamingDpc::new(
+            build(&mode_tour_seed()),
+            StreamParams::new(1.0).with_dpc(dpc.clone()),
+        )
+        .unwrap();
+        for (epoch, (arrivals, evict, mode)) in mode_tour_epochs().into_iter().enumerate() {
+            engine.advance(&arrivals, evict).unwrap();
             engine.index().check_invariants();
-            assert_cold_batch(name, &build, &engine, &dpc);
+            assert_eq!(
+                engine.stats().last_epoch_mode,
+                Some(mode),
+                "[{name}] epoch {epoch}"
+            );
+            assert_cold_batch(&format!("{name} epoch {epoch}"), &build, &engine, &dpc);
         }
-        // 6 epochs: 2 fallback, then 2 rebuild, then 2 fallback again.
         let stats = engine.stats();
-        assert_eq!(stats.epochs, 6, "[{name}]");
-        assert_eq!(stats.rebuild_epochs, 2, "[{name}]");
-        assert_eq!(stats.fallback_epochs, 4, "[{name}]");
-        assert_eq!(stats.incremental_epochs, 0, "[{name}]");
         assert_eq!(
-            stats.last_epoch_mode,
-            Some(dpc_stream::EpochMode::Fallback),
+            (
+                stats.incremental_epochs,
+                stats.fallback_epochs,
+                stats.rebuild_epochs
+            ),
+            (1, 1, 1),
             "[{name}]"
         );
     });
+}
+
+/// The threshold every test that does not sweep it runs at.
+const DEFAULT_FRACTION: f64 = 0.25;
+
+/// The seed window of the commit-mode tour (`dc` = 1): a blob of 12 points
+/// all within `dc` of each other, then 28 isolated points 3 apart.
+fn mode_tour_seed() -> Dataset {
+    let blob = (0..12).map(|i| Point::new(0.1 * (i % 4) as f64, 0.1 * (i / 4) as f64));
+    let sparse =
+        (0..28).map(|i| Point::new(10.0 + 3.0 * (i % 7) as f64, 10.0 + 3.0 * (i / 7) as f64));
+    Dataset::new(blob.chain(sparse).collect())
+}
+
+/// The epochs of the commit-mode tour: `(arrivals, evictions, mode)`.
+fn mode_tour_epochs() -> Vec<(Vec<Point>, usize, EpochMode)> {
+    vec![
+        // Touches one isolated point: a handful of points to recompute.
+        (vec![Point::new(10.2, 10.0)], 0, EpochMode::Incremental),
+        // One ε-query, but every blob point's ρ changes: |F| ≥ 13 > 10.25.
+        (vec![Point::new(0.15, 0.15)], 0, EpochMode::Fallback),
+        // Six evictions and six arrivals: 12 ε-queries > 0.25 · 42.
+        (
+            (0..6)
+                .map(|i| Point::new(40.0 + 0.5 * i as f64, 40.0))
+                .collect(),
+            6,
+            EpochMode::Full,
+        ),
+    ]
 }
 
 /// Epoch edge case: a batch that deletes the current global peak (whose δ is
@@ -904,7 +904,8 @@ fn square_root_ties_match_batch() {
 /// R-tree's forced-reinsertion round is shared by the whole batch (at most
 /// one per epoch — later overflows split), and the k-d tree settles its
 /// scapegoat/dead-fraction violations in one end-of-batch sweep (which must
-/// still fire under a workload that overflows its tiny leaves).
+/// still fire under a workload that overflows its tiny leaves). An R-tree
+/// batch of an eighth of the tree or more repacks it instead.
 #[test]
 fn deferred_triggers_fire_once_per_epoch() {
     let dc = 120.0;
@@ -923,7 +924,9 @@ fn deferred_triggers_fire_once_per_epoch() {
     );
     assert_cold_batch("kdtree", &kd_build, &kd_engine, &dpc);
 
-    let mut rt_engine = StreamingDpc::new(rt_build(&seed), params).unwrap();
+    // 60 inserts into 600 points stay below an eighth: one descent per op.
+    let rt_seed = Dataset::new(test_points(TestDistribution::Clustered, 600, 20));
+    let mut rt_engine = StreamingDpc::new(rt_build(&rt_seed), params).unwrap();
     rt_engine.advance(&arrivals, 0).unwrap();
     rt_engine.index().check_invariants();
     let rt = rt_engine.index().maintenance_counters();
@@ -935,6 +938,14 @@ fn deferred_triggers_fire_once_per_epoch() {
         counter(&rt, "node_splits") >= 1,
         "60 inserts into 3-entry nodes must split: {rt:?}"
     );
+    assert_eq!(counter(&rt, "repacks"), 0, "{rt:?}");
+    assert_cold_batch("rtree", &rt_build, &rt_engine, &dpc);
+    // 90 more inserts into 660 points pass an eighth: one repack.
+    let more = test_points(TestDistribution::Clustered, 90, 22);
+    rt_engine.advance(&more, 0).unwrap();
+    rt_engine.index().check_invariants();
+    let rt = rt_engine.index().maintenance_counters();
+    assert_eq!(counter(&rt, "repacks"), 1, "{rt:?}");
     assert_cold_batch("rtree", &rt_build, &rt_engine, &dpc);
 }
 

@@ -7,15 +7,18 @@
 //!   path with [`Kernel::Cutoff`] must stay bit-identical (ρ, δ, µ, labels,
 //!   centres) to the cold batch pipeline — whose cutoff branch routes through
 //!   the original integer-counting traversal — after every epoch, for every
-//!   updatable index family, at threads {1, 4}, under all three commit
-//!   policies. This is the proof that generalising `Rho` to weighted `f64`
-//!   changed no observable bit of the paper-faithful configuration.
+//!   updatable index family, at threads {1, 4}, at the default fallback
+//!   threshold, at 0 (every epoch recomputes ρ and δ with the batch queries)
+//!   and at 1 (no fallback at all). This is the proof that generalising
+//!   `Rho` to weighted `f64` changed no observable bit of the paper-faithful
+//!   configuration.
 //! * **Weighted kernels vs the weight oracle** — under Gaussian and
 //!   Exponential kernels the streamed ρ must equal an explicit accumulation
-//!   oracle bit-for-bit (the oracle mirrors the engine's ±w(d) op order) and
-//!   stay within 1e-9 of a cold pipeline run; the cold scan re-sums each
-//!   neighbourhood from scratch, so f64 regrouping keeps it an epsilon — not
-//!   bit — oracle for non-unit weights.
+//!   oracle bit-for-bit (the oracle mirrors the engine's ±w(d) op order, and
+//!   its fresh ascending-id re-sum on the epochs that recompute ρ with the
+//!   batch query) and stay within 1e-9 of a cold pipeline run; the cold scan
+//!   re-sums each neighbourhood from scratch, so f64 regrouping keeps it an
+//!   epsilon — not bit — oracle for non-unit weights after a ±w(d) repair.
 //! * **Decayed-window oracle** — with `decay` λ < 1 the engine's ρ must equal
 //!   an *explicitly accumulated* weight table that mirrors the engine's
 //!   arithmetic op-for-op (per-epoch `×λ` pre-pass, aged subtraction via
@@ -30,7 +33,7 @@ use dpc_core::{
     CenterSelection, Dataset, DpcIndex, DpcParams, DpcPipeline, Kernel, Point, UpdatableIndex,
 };
 use dpc_datasets::testsupport::{lattice_point, test_points, TestDistribution};
-use dpc_stream::{aged_weight, CommitPolicy, EpochMode, StreamParams, StreamingDpc};
+use dpc_stream::{aged_weight, EpochMode, StreamParams, StreamingDpc};
 use dpc_tree_index::{GridIndex, KdTree, KdTreeConfig, RTree, RTreeConfig};
 use proptest::prelude::*;
 
@@ -119,7 +122,8 @@ macro_rules! for_each_updatable_index {
     }};
 }
 
-/// Replays `ops` as single-op epochs under `kernel`/`policy`/`threads` and
+/// Replays `ops` as single-op epochs under `kernel`/`threads` at fallback
+/// threshold `max_affected_fraction` and
 /// asserts, after every epoch, bit-identity of the full engine state against
 /// a cold batch pipeline run (fresh index of the same kind, same kernel).
 fn check_kernel_equivalence<I, F>(
@@ -129,7 +133,7 @@ fn check_kernel_equivalence<I, F>(
     seed_points: &[Point],
     ops: &[Op],
     threads: usize,
-    policy: CommitPolicy,
+    max_affected_fraction: f64,
 ) -> Result<(), TestCaseError>
 where
     I: UpdatableIndex,
@@ -141,7 +145,7 @@ where
         .with_threads(threads);
     let params = StreamParams::new(DC)
         .with_dpc(dpc.clone())
-        .with_policy(policy);
+        .with_max_affected_fraction(max_affected_fraction);
     let mut engine = StreamingDpc::new(build(&Dataset::new(seed_points.to_vec())), params)
         .map_err(|e| TestCaseError::fail(format!("[{label}] seeding failed: {e}")))?;
 
@@ -226,33 +230,34 @@ struct DecayOracle {
 
 impl DecayOracle {
     fn new(seed: &[Point], lambda: f64, kernel: Kernel) -> Self {
-        let pts = seed.to_vec();
-        let n = pts.len();
-        let mut rho = vec![0.0f64; n];
-        let dc2 = DC * DC;
-        // Seed densities: undecayed ascending-id sums, exactly like the
-        // batch query that seeds the engine.
-        for (i, r) in rho.iter_mut().enumerate() {
-            let mut mass = 0.0f64;
-            for (j, q) in pts.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let d2 = q.distance_squared(&pts[i]);
-                if d2 < dc2 {
-                    mass += kernel.weight_from_sq(d2);
-                }
-            }
-            *r = mass;
-        }
-        DecayOracle {
-            pts,
-            births: vec![0; n],
-            rho,
+        let mut oracle = DecayOracle {
+            pts: seed.to_vec(),
+            births: vec![0; seed.len()],
+            rho: Vec::new(),
             age: 0,
             lambda,
             kernel,
-        }
+        };
+        oracle.resum();
+        oracle
+    }
+
+    /// Undecayed ascending-id sums over the current window, exactly like the
+    /// batch ρ-query that seeds the engine and that a full epoch reruns.
+    fn resum(&mut self) {
+        let dc2 = DC * DC;
+        self.rho = (0..self.pts.len())
+            .map(|i| {
+                let mut mass = 0.0f64;
+                for (j, q) in self.pts.iter().enumerate() {
+                    let d2 = q.distance_squared(&self.pts[i]);
+                    if j != i && d2 < dc2 {
+                        mass += self.kernel.weight_from_sq(d2);
+                    }
+                }
+                mass
+            })
+            .collect();
     }
 
     fn decay_all(&mut self) {
@@ -323,23 +328,19 @@ proptest! {
 
     /// The generic weighted ρ path with `Kernel::Cutoff` is bit-identical to
     /// the integer-counting cold pipeline after every epoch, for all five
-    /// engines, threads {1, 4}, and all three commit policies.
+    /// engines, threads {1, 4}, and fallback thresholds {default, 0, 1}.
     #[test]
-    fn cutoff_kernel_is_bit_identical_for_every_engine_thread_and_policy(
+    fn cutoff_kernel_is_bit_identical_for_every_engine_thread_and_threshold(
         seed in seed_strategy(),
         ops in ops_strategy()
     ) {
         let seed_points = lattice_seed(&seed);
         let ops = lattice_ops(&ops);
-        for &policy in &[
-            CommitPolicy::AlwaysIncremental,
-            CommitPolicy::AlwaysRebuild,
-            CommitPolicy::Adaptive,
-        ] {
+        for &fraction in &[StreamParams::new(DC).max_affected_fraction, 0.0, 1.0] {
             for &threads in &[1usize, 4] {
                 for_each_updatable_index!(|name, build| {
                     check_kernel_equivalence(
-                        name, build, Kernel::Cutoff, &seed_points, &ops, threads, policy,
+                        name, build, Kernel::Cutoff, &seed_points, &ops, threads, fraction,
                     )?;
                 });
             }
@@ -353,9 +354,10 @@ proptest! {
     /// sums, incremental ±w(d) repair regroups f64 additions, so the cold
     /// scan — which re-sums each neighbourhood ascending from scratch — can
     /// differ in the last ulps; the oracle, which mirrors the engine's
-    /// op order, is the bit-exact contract. (Rebuild-style policies coerce
-    /// to incremental under weighted kernels; the cutoff battery covers
-    /// them.)
+    /// op order, is the bit-exact contract. Single-op epochs in a window of
+    /// fewer than four points pass the default threshold: the engine then
+    /// recomputes ρ with the batch query ([`EpochMode::Full`]) and the oracle
+    /// re-sums, which the test pins by asserting the mode as well.
     #[test]
     fn weighted_kernels_match_the_weight_oracle_and_cold_batch(
         seed in seed_strategy(),
@@ -381,6 +383,7 @@ proptest! {
                     })?;
                     // λ = 1: the oracle reduces to undecayed ±w(d) repair.
                     let mut oracle = DecayOracle::new(&seed_points, 1.0, kernel);
+                    let fraction = params.max_affected_fraction;
                     for (step, op) in ops.iter().enumerate() {
                         if op.insert || engine.is_empty() {
                             engine.insert(op.point).map_err(|e| {
@@ -400,6 +403,22 @@ proptest! {
                             })?;
                             oracle.remove(loc);
                         }
+                        // One ε-query per single-op epoch: past the
+                        // threshold the engine reruns the batch ρ-query.
+                        let n = oracle.pts.len();
+                        let full = n > 0 && 1.0 > fraction * n as f64;
+                        if full {
+                            oracle.resum();
+                        }
+                        prop_assert_eq!(
+                            engine.stats().last_epoch_mode == Some(EpochMode::Full),
+                            full,
+                            "[{}] step {}: window {}, mode {:?}",
+                            name,
+                            step,
+                            n,
+                            engine.stats().last_epoch_mode
+                        );
                         prop_assert_eq!(
                             engine.rho(),
                             &oracle.rho[..],
@@ -591,31 +610,73 @@ fn decayed_commit_epochs_always_rerank() {
     assert_eq!(engine.stats().last_epoch_mode, Some(EpochMode::Fallback));
 }
 
-/// Rebuild-style commit policies coerce to the incremental path whenever the
-/// epoch arithmetic is history-dependent (weighted kernel or λ < 1): a
-/// rebuild recomputes from current geometry and would erase the decay
-/// history. The coercion is observable in the stats, and the state still
-/// matches the weight oracle (covered by the proptest above).
+/// A gaussian stream whose sliding batch passes the fallback threshold
+/// recomputes ρ with the batch ρ-query: afterwards ρ equals the cold weighted
+/// ρ-query bit for bit (the ±w(d) repairs of the earlier epochs may differ
+/// from it in the last ulps), and so do δ, µ and the labels, for all five
+/// engines.
 #[test]
-fn rebuild_policies_coerce_to_incremental_under_decay_and_weighted_kernels() {
-    let arrivals = test_points(TestDistribution::Clustered, 12, 23);
-    for params in [
-        StreamParams::new(60.0).with_decay(0.9),
-        StreamParams::new(60.0).with_dpc(DpcParams::new(60.0).with_kernel(Kernel::gaussian(40.0))),
-    ] {
-        let seed = Dataset::new(test_points(TestDistribution::Clustered, 20, 22));
-        let mut engine = StreamingDpc::new(
-            NaiveReferenceIndex::build(&seed),
-            params.with_policy(CommitPolicy::AlwaysRebuild),
-        )
-        .unwrap();
-        for chunk in arrivals.chunks(4) {
-            engine.advance(chunk, chunk.len()).unwrap();
+fn full_epoch_weighted_rho_equals_the_cold_query_bit_for_bit() {
+    let kernel = Kernel::gaussian(40.0);
+    let dpc = DpcParams::new(60.0)
+        .with_centers(CenterSelection::GammaGap { max_centers: 8 })
+        .with_kernel(kernel);
+    let arrivals = test_points(TestDistribution::Clustered, 9, 41);
+    for_each_updatable_index!(|name, build| {
+        let seed = Dataset::new(test_points(TestDistribution::Clustered, 20, 40));
+        let params = StreamParams::new(60.0).with_dpc(dpc.clone());
+        let mut engine = StreamingDpc::new(build(&seed), params).unwrap();
+        for &p in &arrivals[..3] {
+            engine.insert(p).unwrap();
         }
-        let stats = engine.stats();
-        assert_eq!(stats.rebuild_epochs, 0, "rebuild must be gated off");
-        assert_eq!(stats.epochs, 3);
-    }
+        assert_ne!(
+            engine.stats().last_epoch_mode,
+            Some(EpochMode::Full),
+            "[{name}]"
+        );
+        // Six evictions and six arrivals: 12 ε-queries > 0.25 · 23.
+        engine.advance(&arrivals[3..], 6).unwrap();
+        assert_eq!(
+            engine.stats().last_epoch_mode,
+            Some(EpochMode::Full),
+            "[{name}]"
+        );
+        let run = DpcPipeline::new(dpc.clone())
+            .run(&build(engine.index().dataset()))
+            .unwrap();
+        assert_eq!(engine.rho(), &run.rho[..], "[{name}] rho");
+        assert_eq!(engine.deltas(), &run.deltas, "[{name}] delta/mu");
+        assert_eq!(
+            engine.clustering().labels(),
+            run.clustering.labels(),
+            "[{name}]"
+        );
+    });
+}
+
+/// Decayed ρ depends on the window's history, so a decayed stream never
+/// recomputes it with the batch ρ-query — not even at threshold 0 with
+/// batches whose ε-queries fill the window: every epoch re-ranks δ/µ alone.
+#[test]
+fn decayed_epochs_never_take_the_full_path() {
+    let arrivals = test_points(TestDistribution::Clustered, 24, 23);
+    for_each_updatable_index!(|name, build| {
+        let seed = Dataset::new(test_points(TestDistribution::Clustered, 20, 22));
+        let params = StreamParams::new(60.0)
+            .with_decay(0.9)
+            .with_max_affected_fraction(0.0);
+        let mut engine = StreamingDpc::new(build(&seed), params).unwrap();
+        for chunk in arrivals.chunks(8) {
+            engine.advance(chunk, chunk.len()).unwrap();
+            assert_eq!(
+                engine.stats().last_epoch_mode,
+                Some(EpochMode::Fallback),
+                "[{name}]"
+            );
+        }
+        assert_eq!(engine.stats().rebuild_epochs, 0, "[{name}]");
+        assert!(engine.stats().eps_queries > 0, "[{name}]");
+    });
 }
 
 /// Parameter validation: decay factors outside (0, 1] and non-finite values

@@ -7,16 +7,16 @@
 //! the identical operations — one untouched (no-op recorder), one with a
 //! metrics registry *and* a trace sink fanned out — and compares the full
 //! state after every epoch. A structural test then pins down what the trace
-//! contains: per-epoch spans with the phase spans nested inside, and policy
-//! decision events carrying predicted/observed cost under the adaptive
-//! policy.
+//! contains: per-epoch spans with the phase spans nested inside, and — on
+//! epochs that recompute ρ and δ with the batch queries — the queries' own
+//! chunk spans nested inside the repair phases.
 
 use std::sync::Arc;
 
 use dpc_core::{Point, UpdatableIndex};
 use dpc_datasets::testsupport::lattice_point;
 use dpc_obs::{Fanout, MetricsRecorder, SharedRecorder, TraceSink};
-use dpc_stream::{CommitPolicy, StreamParams, StreamingDpc};
+use dpc_stream::{StreamParams, StreamingDpc};
 use dpc_tree_index::{KdTree, KdTreeConfig};
 use proptest::prelude::*;
 
@@ -32,10 +32,10 @@ fn small_kdtree(points: Vec<Point>) -> KdTree {
 
 fn engine_with(
     seed: &[Point],
-    policy: CommitPolicy,
+    max_affected_fraction: f64,
     recorder: Option<SharedRecorder>,
 ) -> StreamingDpc<KdTree> {
-    let params = StreamParams::new(1.5).with_policy(policy);
+    let params = StreamParams::new(1.5).with_max_affected_fraction(max_affected_fraction);
     let mut engine =
         StreamingDpc::new(small_kdtree(seed.to_vec()), params).expect("seeding must succeed");
     if let Some(rec) = recorder {
@@ -72,7 +72,7 @@ fn state_of(engine: &StreamingDpc<KdTree>) -> (Vec<f64>, Vec<f64>, Vec<Option<us
 fn default_recorder_is_the_shared_noop() {
     let engine = engine_with(
         &[lattice_point(0, 0), lattice_point(5, 5)],
-        CommitPolicy::default(),
+        DEFAULT_FRACTION,
         None,
     );
     assert!(
@@ -88,19 +88,15 @@ fn default_recorder_is_the_shared_noop() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Bit-identical ρ/δ/µ/labels with and without recording, on every
-    /// commit policy, after every single epoch.
+    /// Bit-identical ρ/δ/µ/labels with and without recording, at fallback
+    /// thresholds {default, 0, 1}, after every single epoch.
     #[test]
     fn recording_never_changes_results(
         seed in prop::collection::vec((0u32..8, 0u32..8), 2..12),
         ops in prop::collection::vec((any::<bool>(), 0u32..8, 0u32..8), 1..20),
-        policy_sel in 0u8..3,
+        fraction_sel in 0usize..3,
     ) {
-        let policy = match policy_sel {
-            0 => CommitPolicy::AlwaysIncremental,
-            1 => CommitPolicy::AlwaysRebuild,
-            _ => CommitPolicy::Adaptive,
-        };
+        let fraction = [DEFAULT_FRACTION, 0.0, 1.0][fraction_sel];
         let seed_points: Vec<Point> =
             seed.iter().map(|&(x, y)| lattice_point(x, y)).collect();
 
@@ -112,8 +108,8 @@ proptest! {
                 .with(trace.clone() as SharedRecorder),
         );
 
-        let mut plain = engine_with(&seed_points, policy, None);
-        let mut recorded = engine_with(&seed_points, policy, Some(fanout));
+        let mut plain = engine_with(&seed_points, fraction, None);
+        let mut recorded = engine_with(&seed_points, fraction, Some(fanout));
 
         for &(insert, ix, iy) in &ops {
             replay(&mut plain, &[(insert, ix, iy)]);
@@ -121,8 +117,8 @@ proptest! {
             prop_assert_eq!(
                 state_of(&plain),
                 state_of(&recorded),
-                "state diverged after an epoch (policy {:?})",
-                policy
+                "state diverged after an epoch (threshold {})",
+                fraction
             );
         }
         prop_assert_eq!(plain.epoch(), recorded.epoch());
@@ -134,11 +130,15 @@ proptest! {
     }
 }
 
+/// The threshold every test that does not sweep it runs at.
+const DEFAULT_FRACTION: f64 = 0.25;
+
 #[test]
-fn trace_contains_nested_phase_spans_and_policy_decisions() {
+fn trace_contains_nested_phase_spans_and_full_epoch_queries() {
     let seed: Vec<Point> = (0..10).map(|i| lattice_point(i % 4, i / 4)).collect();
     let trace = Arc::new(TraceSink::new());
-    let mut engine = engine_with(&seed, CommitPolicy::Adaptive, Some(trace.clone()));
+    // Threshold 0: every epoch recomputes ρ and δ with the batch queries.
+    let mut engine = engine_with(&seed, 0.0, Some(trace.clone()));
 
     let ops: Vec<(bool, u32, u32)> = (0..12).map(|i| (i % 3 != 0, i % 5, i % 7)).collect();
     replay(&mut engine, &ops);
@@ -184,23 +184,24 @@ fn trace_contains_nested_phase_spans_and_policy_decisions() {
             >= ops.len()
     );
 
-    // Adaptive policy: one decision instant per epoch, carrying the
-    // predicted and observed cost.
-    let decisions: Vec<_> = events
-        .iter()
-        .filter(|e| e.ph == 'i' && e.name == "stream.policy.decision")
-        .collect();
-    assert_eq!(decisions.len(), ops.len());
-    for d in &decisions {
-        let keys: Vec<&str> = d.args.iter().map(|(k, _)| k.as_str()).collect();
-        for required in [
-            "mode",
-            "predicted_incremental_us",
-            "predicted_rebuild_us",
-            "predicted_us",
-            "observed_us",
-        ] {
-            assert!(keys.contains(&required), "decision missing {required}");
+    // Full epochs: the batch queries' chunk spans nest inside the repair
+    // phase that ran them, at least one per epoch.
+    assert_eq!(engine.stats().rebuild_epochs, ops.len() as u64);
+    for (query, phase) in [
+        ("query.rho.chunk", "stream.phase.rho_repair"),
+        ("query.delta.chunk", "stream.phase.delta_repair"),
+    ] {
+        let chunks: Vec<_> = events.iter().filter(|e| e.name == query).collect();
+        assert!(chunks.len() >= ops.len(), "{query}: {} spans", chunks.len());
+        let phases: Vec<_> = events.iter().filter(|e| e.name == phase).collect();
+        for c in chunks {
+            let (ts, dur) = (c.ts_us, c.dur_us.expect("complete event"));
+            assert!(
+                phases
+                    .iter()
+                    .any(|p| p.ts_us <= ts && ts + dur <= p.ts_us + p.dur_us.unwrap()),
+                "{query} at {ts} must nest inside {phase}"
+            );
         }
     }
 
@@ -216,7 +217,7 @@ fn maintenance_counters_surface_as_gauges() {
     let metrics = Arc::new(MetricsRecorder::new());
     let mut engine = engine_with(
         &seed,
-        CommitPolicy::AlwaysIncremental,
+        DEFAULT_FRACTION,
         Some(metrics.clone() as SharedRecorder),
     );
     let ops: Vec<(bool, u32, u32)> = (0..30).map(|i| (i % 2 == 0, i % 6, (i * 3) % 6)).collect();
@@ -245,9 +246,8 @@ fn incremental_delta_repair_reports_both_passes_and_a_thread_invariant_distance_
     let mut counts = Vec::new();
     for threads in [1usize, 3] {
         let metrics = Arc::new(MetricsRecorder::new());
-        let params = StreamParams::new(1.5)
-            .with_policy(CommitPolicy::AlwaysIncremental)
-            .with_dpc(dpc_core::DpcParams::new(1.5).with_threads(threads));
+        let params =
+            StreamParams::new(1.5).with_dpc(dpc_core::DpcParams::new(1.5).with_threads(threads));
         let mut engine = StreamingDpc::new(small_kdtree(seed.clone()), params).unwrap();
         engine.set_recorder(metrics.clone());
         for k in 0..30u32 {

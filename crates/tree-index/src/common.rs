@@ -7,12 +7,33 @@
 //! this trait (see [`crate::query`]) and each index only implements
 //! construction plus these accessors.
 
-use dpc_core::BoundingBox;
-use dpc_core::PointId;
+use dpc_core::{BatchOp, BoundingBox, Dataset, PointId, Result};
 
 /// Identifier of a node inside a [`SpatialPartition`] (an index into the
 /// implementation's node arena).
 pub type NodeId = usize;
+
+/// An [`apply_batch`](dpc_core::UpdatableIndex::apply_batch) of more than one
+/// op and at least `1 / BULK_BATCH_SHARE` of the index's points is applied
+/// to the dataset alone, and the grid and the R-tree then rebuild their
+/// structure over the result in one bulk pass: `O(n log n)` at most, so
+/// amortised `O(log n)` per op of such a batch, where per-op maintenance
+/// pays a descent or a crowded-cell scan per op and leaves looser boxes.
+const BULK_BATCH_SHARE: usize = 8;
+
+/// Applies `ops` to `dataset` alone when they form a bulk batch (see
+/// [`BULK_BATCH_SHARE`]) and returns `Some` with the outcome: an op that
+/// fails stops the batch, and the ops before it stay applied. The caller
+/// then rebuilds its structure over the dataset. `None`: not a bulk batch,
+/// nothing applied.
+pub(crate) fn apply_bulk_batch(dataset: &mut Dataset, ops: &[BatchOp]) -> Option<Result<()>> {
+    (ops.len() > 1 && ops.len().saturating_mul(BULK_BATCH_SHARE) >= dataset.len()).then(|| {
+        ops.iter().try_for_each(|op| match *op {
+            BatchOp::Insert(p) => dataset.push(p).map(drop),
+            BatchOp::Remove(id) => dataset.swap_remove(id).map(drop),
+        })
+    })
+}
 
 /// A hierarchical partition of 2-D space over a dataset.
 ///

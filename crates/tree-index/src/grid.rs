@@ -12,11 +12,11 @@ use std::time::Duration;
 
 use dpc_core::index::validate_dc;
 use dpc_core::{
-    dc_sq_threshold, BoundingBox, Dataset, DeltaResult, DpcIndex, IndexStats, Point, PointId,
-    Query, Result, Rho, TargetDeltas, TieBreak, Timer, UpdatableIndex,
+    dc_sq_threshold, BatchOp, BoundingBox, Dataset, DeltaResult, DpcIndex, IndexStats, Point,
+    PointId, Query, Result, Rho, TargetDeltas, TieBreak, Timer, UpdatableIndex,
 };
 
-use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
+use crate::common::{apply_bulk_batch, check_partition_invariants, NodeId, SpatialPartition};
 use crate::query::{
     tree_delta_query, tree_delta_targets, tree_rho_query, DeltaQueryConfig, QueryStats,
 };
@@ -68,7 +68,10 @@ impl Default for GridConfig {
 /// drifting stream piles points into one build-time cell — an insert that
 /// pushes a cell past [`GridConfig::rebucket_skew`] times the target
 /// occupancy re-anchors the grid from the current window (an amortised
-/// re-bucket, counted in [`UpdatableIndex::maintenance_counters`]). The
+/// re-bucket, counted in [`UpdatableIndex::maintenance_counters`]). An
+/// [`UpdatableIndex::apply_batch`] that replaces a large share of the window
+/// is applied to the dataset first and the partition rebuilt once for the
+/// new window, without counting a re-bucket. The
 /// partition only affects pruning, so re-bucketing never changes query
 /// results. After deletions, cell bounding boxes are *conservative* (they
 /// may be larger than tight) — query results are unaffected, only pruning is
@@ -91,8 +94,7 @@ pub struct GridIndex {
     cell_size: f64,
     config: GridConfig,
     construction_time: Duration,
-    /// Number of occupancy-triggered re-anchors performed so far. Carried
-    /// across [`UpdatableIndex::rebuild_from`].
+    /// Number of occupancy-triggered re-anchors performed so far.
     rebuckets: u64,
     /// Dataset version at the last re-anchor (or build). A re-bucket is
     /// allowed only after at least a threshold's worth of mutations, so the
@@ -196,14 +198,20 @@ impl GridIndex {
     }
 
     /// Re-derives the grid geometry (origin, cell size, partition) from the
-    /// current window, preserving the dataset and the re-bucket count. Called
-    /// when occupancy skew shows the anchored geometry no longer fits.
-    fn rebucket(&mut self) {
-        let rebuckets = self.rebuckets + 1;
+    /// current window, preserving the dataset and the re-bucket count.
+    fn rebuild(&mut self) {
+        let rebuckets = self.rebuckets;
         let config = self.config;
         let dataset = std::mem::replace(&mut self.dataset, Dataset::new(Vec::new()));
         *self = GridIndex::with_config(&dataset, &config);
         self.rebuckets = rebuckets;
+    }
+
+    /// [`rebuild`](Self::rebuild), counted as a re-bucket. Called when
+    /// occupancy skew shows the anchored geometry no longer fits.
+    fn rebucket(&mut self) {
+        self.rebuild();
+        self.rebuckets += 1;
     }
 
     /// The insert-time occupancy threshold above which a re-bucket fires,
@@ -288,6 +296,26 @@ fn cell_key(p: Point, origin: (f64, f64), cell_size: f64) -> (i64, i64) {
 }
 
 impl UpdatableIndex for GridIndex {
+    fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<()> {
+        // A bulk batch re-derives the partition once, with a cell size
+        // fitted to the new window.
+        if let Some(result) = apply_bulk_batch(&mut self.dataset, ops) {
+            self.rebuild();
+            return result;
+        }
+        for op in ops {
+            match *op {
+                BatchOp::Insert(p) => {
+                    self.insert(p)?;
+                }
+                BatchOp::Remove(id) => {
+                    self.remove(id)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn insert(&mut self, p: Point) -> Result<PointId> {
         let id = self.dataset.push(p)?;
         match self.cell_node(p) {
@@ -353,18 +381,6 @@ impl UpdatableIndex for GridIndex {
         // Cell and root boxes are left as-is: conservative (possibly larger
         // than tight) boxes only weaken pruning, never correctness.
         Ok(moved)
-    }
-
-    fn rebuild_from(&mut self, dataset: Dataset) -> Result<()> {
-        // Bulk load: re-derive the cell partition for the new window in one
-        // build (re-picking the cell size for its bounding box and density)
-        // instead of paying per-point cell maintenance. The adopted dataset
-        // keeps the caller's id order and version history.
-        let config = self.config;
-        let rebuckets = self.rebuckets;
-        *self = GridIndex::with_config(&dataset, &config);
-        self.rebuckets = rebuckets;
-        Ok(())
     }
 
     fn delta_targets(
@@ -544,25 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_from_bulk_loads_the_new_window() {
-        let mut grid = GridIndex::build(&s1(17, 0.03).into_dataset());
-        // A replacement window with real version history: pushes and a
-        // swap-remove on top of a copy of the current dataset, exactly what
-        // the streaming engine's rebuild path materialises.
-        let mut window = grid.dataset().clone();
-        for (_, p) in s1(18, 0.03).into_dataset().iter().take(20) {
-            window.push(p).unwrap();
-        }
-        window.swap_remove(3).unwrap();
-        let version = window.version();
-        grid.rebuild_from(window.clone()).unwrap();
-        check_partition_invariants(&grid, &window);
-        assert_eq!(grid.dataset().points(), window.points());
-        assert_eq!(grid.dataset().version(), version);
-        assert_matches_baseline(&window, &grid, 40_000.0);
-    }
-
-    #[test]
     fn matches_baseline_with_auto_and_explicit_cell_size() {
         let data = s1(307, 0.05).into_dataset();
         let auto = GridIndex::build(&data);
@@ -733,6 +730,32 @@ mod tests {
     }
 
     #[test]
+    fn bulk_batches_rebuild_the_partition_for_the_new_window() {
+        use dpc_core::BatchOp;
+        let seed = s1(59, 0.01).into_dataset();
+        let mut grid = GridIndex::build(&seed);
+        let built_cell_size = grid.cell_size();
+        // Replace the whole window with a hotspot far outside it: one bulk
+        // batch, so one partition fitted to the hotspot.
+        let bb = seed.bounding_box();
+        let mut ops: Vec<BatchOp> = (0..seed.len()).map(|_| BatchOp::Remove(0)).collect();
+        ops.extend((0..seed.len()).map(|i| {
+            BatchOp::Insert(dpc_core::Point::new(
+                bb.max_x() + 1.0e7 + 50.0 * (i % 17) as f64,
+                bb.max_y() + 1.0e7 + 35.0 * (i / 17) as f64,
+            ))
+        }));
+        grid.apply_batch(&ops).unwrap();
+        grid.check_structure();
+        assert_eq!(rebuckets(&grid), 0);
+        assert_ne!(grid.cell_size(), built_cell_size);
+        let fresh = GridIndex::build(grid.dataset());
+        assert_eq!(grid.cell_size(), fresh.cell_size());
+        assert_eq!(grid.dataset().version(), seed.version() + ops.len() as u64);
+        assert_matches_baseline(grid.dataset(), &grid, 60_000.0);
+    }
+
+    #[test]
     fn explicit_cell_size_never_rebuckets() {
         let mut grid = GridIndex::with_config(
             &s1(61, 0.01).into_dataset(),
@@ -748,24 +771,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(rebuckets(&grid), 0);
-    }
-
-    #[test]
-    fn rebuild_from_carries_the_rebucket_counter() {
-        let config = GridConfig {
-            target_points_per_cell: 2,
-            rebucket_skew: 2.0,
-            ..Default::default()
-        };
-        let mut grid = GridIndex::with_config(&s1(23, 0.005).into_dataset(), &config);
-        for i in 0..20 {
-            grid.insert(dpc_core::Point::new(9.0e7 + i as f64, 9.0e7))
-                .unwrap();
-        }
-        let before = rebuckets(&grid);
-        assert!(before >= 1);
-        grid.rebuild_from(grid.dataset().clone()).unwrap();
-        assert_eq!(rebuckets(&grid), before);
     }
 
     #[test]

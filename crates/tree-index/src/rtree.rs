@@ -27,9 +27,12 @@
 //!   survivors reinserted; emptied ancestors are pruned and a root left
 //!   with a single child is collapsed, so the height shrinks again as the
 //!   window drains.
+//! * **apply_batch** of at least an eighth of the tree's points mutates the
+//!   dataset alone and STR-packs the tree afresh: cheaper than one descent
+//!   per op at that size, and it restores the packed boxes.
 //!
 //! All leaves stay at the same depth through every update, and the
-//! reinsert/split/dissolve triggers are observable through
+//! reinsert/split/dissolve/repack triggers are observable through
 //! [`UpdatableIndex::maintenance_counters`].
 
 use std::time::Duration;
@@ -40,7 +43,7 @@ use dpc_core::{
     Result, Rho, TargetDeltas, TieBreak, Timer, UpdatableIndex,
 };
 
-use crate::common::{check_partition_invariants, NodeId, SpatialPartition};
+use crate::common::{apply_bulk_batch, check_partition_invariants, NodeId, SpatialPartition};
 use crate::query::{
     eps_query, tree_delta_query, tree_delta_targets, tree_rho_query, DeltaQueryConfig, QueryStats,
 };
@@ -109,6 +112,8 @@ pub struct RTree {
     /// Nodes dissolved by underflow handling (leaves below the minimum
     /// fill, emptied ancestors, collapsed roots).
     nodes_dissolved: u64,
+    /// Bulk batches applied by repacking the tree.
+    repacks: u64,
     /// `None` outside an `apply_batch` epoch (every insert gets its own
     /// forced-reinsertion round); `Some(available)` while one is in flight —
     /// the whole batch shares a single round, so reinsertion fires at most
@@ -154,6 +159,7 @@ impl RTree {
             forced_reinserts: 0,
             node_splits: 0,
             nodes_dissolved: 0,
+            repacks: 0,
             batch_reinsert: None,
             config: *config,
             construction_time: Duration::ZERO,
@@ -241,6 +247,19 @@ impl RTree {
     /// dissolved.
     fn min_fill_count(&self) -> usize {
         ((self.config.node_capacity as f64 * self.config.min_fill).ceil() as usize).max(1)
+    }
+
+    /// STR-packs the current dataset afresh, keeping the lifetime counters.
+    fn repack(&mut self) {
+        let dataset = std::mem::replace(&mut self.dataset, Dataset::new(Vec::new()));
+        let packed = RTree::with_config(&dataset, &self.config);
+        *self = RTree {
+            forced_reinserts: self.forced_reinserts,
+            node_splits: self.node_splits,
+            nodes_dissolved: self.nodes_dissolved,
+            repacks: self.repacks + 1,
+            ..packed
+        };
     }
 
     /// STR bulk loading: build the leaf level from the points, then pack each
@@ -819,6 +838,7 @@ impl DpcIndex for RTree {
             .with_counter("forced_reinserts", self.forced_reinserts)
             .with_counter("node_splits", self.node_splits)
             .with_counter("nodes_dissolved", self.nodes_dissolved)
+            .with_counter("repacks", self.repacks)
     }
 
     fn tie_break(&self) -> TieBreak {
@@ -845,6 +865,12 @@ impl UpdatableIndex for RTree {
                 dpc_core::BatchOp::Insert(p) => self.insert(p).map(drop),
                 dpc_core::BatchOp::Remove(id) => self.remove(id).map(drop),
             };
+        }
+        // A bulk batch repacks the tree, restoring the STR-packed boxes that
+        // per-op descents and dissolves wear away.
+        if let Some(result) = apply_bulk_batch(&mut self.dataset, ops) {
+            self.repack();
+            return result;
         }
         self.batch_reinsert = Some(true);
         let result = ops.iter().try_for_each(|op| match *op {
@@ -946,23 +972,6 @@ impl UpdatableIndex for RTree {
         Ok(moved)
     }
 
-    fn rebuild_from(&mut self, dataset: Dataset) -> Result<()> {
-        // Bulk load: one fresh build over the new window instead of n
-        // insert-entry descents with their forced-reinsertion rounds. The
-        // adopted dataset keeps the caller's id order and version history;
-        // the lifetime maintenance counters carry over (a bulk load incurs
-        // no reinsertion, split or dissolve).
-        let config = self.config;
-        let forced_reinserts = self.forced_reinserts;
-        let node_splits = self.node_splits;
-        let nodes_dissolved = self.nodes_dissolved;
-        *self = RTree::with_config(&dataset, &config);
-        self.forced_reinserts = forced_reinserts;
-        self.node_splits = node_splits;
-        self.nodes_dissolved = nodes_dissolved;
-        Ok(())
-    }
-
     fn delta_targets(
         &self,
         q: &Query<'_>,
@@ -982,6 +991,7 @@ impl UpdatableIndex for RTree {
             ("forced_reinserts", self.forced_reinserts),
             ("node_splits", self.node_splits),
             ("nodes_dissolved", self.nodes_dissolved),
+            ("repacks", self.repacks),
         ]
     }
 
@@ -1215,41 +1225,63 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_from_bulk_loads_and_carries_counters() {
-        let data = Dataset::new(test_points(TestDistribution::Clustered, 180, 9));
-        let mut tree = RTree::build(&data);
-        for p in test_points(TestDistribution::Uniform, 40, 11) {
-            tree.insert(p).unwrap();
-        }
+    fn large_batches_repack_and_small_batches_descend() {
+        use dpc_core::BatchOp;
+        let data = Dataset::new(test_points(TestDistribution::Clustered, 160, 9));
+        let config = RTreeConfig {
+            node_capacity: 4,
+            ..Default::default()
+        };
+        let mut tree = RTree::with_config(&data, &config);
+        let arrivals = test_points(TestDistribution::Uniform, 40, 11);
+        // 19 ops on 160 points: below an eighth, one descent per op.
+        let small: Vec<BatchOp> = (0..9)
+            .map(|k| BatchOp::Remove(k * 7))
+            .chain(arrivals[..10].iter().map(|&p| BatchOp::Insert(p)))
+            .collect();
+        tree.apply_batch(&small).unwrap();
+        assert_eq!(tree.repacks, 0);
+        assert!(tree.node_splits() > 0);
+        // 30 ops on 160 points: an eighth or more, one repack.
+        let large: Vec<BatchOp> = (0..10)
+            .map(|k| BatchOp::Remove(k * 11))
+            .chain(arrivals[10..].iter().map(|&p| BatchOp::Insert(p)))
+            .collect();
         let counters = (
-            tree.forced_reinserts(),
             tree.node_splits(),
+            tree.forced_reinserts(),
             tree.nodes_dissolved(),
         );
-        assert!(counters.1 > 0);
-        // A replacement window with real version history, as the streaming
-        // engine's rebuild path materialises it.
-        let mut window = tree.dataset().clone();
-        for p in test_points(TestDistribution::Skewed, 30, 13) {
-            window.push(p).unwrap();
-        }
-        window.swap_remove(5).unwrap();
-        let version = window.version();
-        tree.rebuild_from(window.clone()).unwrap();
-        tree.check_structure();
-        assert_eq!(tree.dataset().points(), window.points());
-        assert_eq!(tree.dataset().version(), version);
-        // A bulk load incurs no reinsertion, split or dissolve: the lifetime
-        // counters carry over unchanged.
+        tree.apply_batch(&large).unwrap();
+        assert_eq!(tree.repacks, 1);
         assert_eq!(
             (
-                tree.forced_reinserts(),
                 tree.node_splits(),
-                tree.nodes_dissolved(),
+                tree.forced_reinserts(),
+                tree.nodes_dissolved()
             ),
             counters
         );
-        assert_matches_baseline(&window, &tree, 150.0);
+        // Same points at the same ids as the per-op path, and a fresh pack.
+        let mut replayed = RTree::with_config(&data, &config);
+        for op in small.iter().chain(&large) {
+            replayed.apply_batch(std::slice::from_ref(op)).unwrap();
+        }
+        assert_eq!(tree.dataset().points(), replayed.dataset().points());
+        assert_eq!(tree.dataset().version(), replayed.dataset().version());
+        tree.check_structure();
+        let packed = RTree::with_config(tree.dataset(), &config);
+        assert_eq!(tree.leaf_count(), packed.leaf_count());
+        assert_matches_baseline(tree.dataset(), &tree, 120.0);
+        // An op that fails keeps the ops before it, like the per-op path,
+        // and the tree is repacked over them.
+        let n = tree.len();
+        let mut bad = vec![BatchOp::Remove(0); 24];
+        bad.push(BatchOp::Remove(n));
+        assert!(tree.apply_batch(&bad).is_err());
+        assert_eq!((tree.len(), tree.repacks), (n - 24, 2));
+        tree.check_structure();
+        assert_matches_baseline(tree.dataset(), &tree, 120.0);
     }
 
     #[test]
